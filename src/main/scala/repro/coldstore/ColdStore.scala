@@ -1,11 +1,16 @@
 package repro.coldstore
 
+import java.util.concurrent.Executors
+
 import org.apache.hadoop.conf.Configuration
 import org.apache.hadoop.fs.Path
 import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.metadata.{BlockMetaData, ParquetMetadata}
 import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.datasources.parquet.ParquetReadSupport.SPARK_METADATA_KEY
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DataType, StructType}
 
 import scala.jdk.CollectionConverters._
 
@@ -59,36 +64,38 @@ object ColdStore {
     dir.listFiles((_, n) => n.endsWith(".parquet")).map(_.getAbsolutePath).sorted.toVector
   }
 
-  private def withFooter[A](file: String)(f: ParquetFileReader => A): A = {
-    val reader = ParquetFileReader.open(
-      HadoopInputFile.fromPath(new Path(file), new Configuration()))
-    try f(reader) finally reader.close()
+  /** Every file's path, size and Parquet footer, in `listFiles` order: the
+    * one place the cold store opens a footer. The files are opened
+    * concurrently, on a pool as wide as the JVM's cores, through one `conf`.
+    */
+  private def footers(path: String, conf: Configuration): Vector[(String, Long, ParquetMetadata)] = {
+    val pool = Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors)
+    try listFiles(path).map { file =>
+      pool.submit[(String, Long, ParquetMetadata)] { () =>
+        val in     = HadoopInputFile.fromPath(new Path(file), conf)
+        val reader = ParquetFileReader.open(in)
+        try (file, in.getLength, reader.getFooter) finally reader.close()
+      }
+    }.map(_.get) finally pool.shutdown()
+  }
+
+  /** A row group's `l_shipdate` min and max in days, from its footer statistics. */
+  private def shipdateDays(block: BlockMetaData): (Option[Int], Option[Int]) = {
+    val stats = block.getColumns.asScala.find(_.getPath.toDotString == "l_shipdate").map(_.getStatistics)
+    val days: PartialFunction[Any, Int] = { case i: java.lang.Integer => i.intValue }
+    (stats.map(_.genericGetMin).collect(days), stats.map(_.genericGetMax).collect(days))
+  }
+
+  private def fileStat(file: String, bytes: Long, footer: ParquetMetadata): FileStat = {
+    val blocks       = footer.getBlocks.asScala.toVector
+    val (mins, maxs) = blocks.map(shipdateDays).unzip
+    FileStat(file, bytes, blocks.map(_.getRowCount).sum,
+      mins.flatten.minOption.getOrElse(Int.MinValue), maxs.flatten.maxOption.getOrElse(Int.MaxValue))
   }
 
   /** Build the file-stats catalog by reading only Parquet footers. */
   def catalog(path: String): Vector[FileStat] =
-    listFiles(path).map { file =>
-      withFooter(file) { reader =>
-        val blocks = reader.getFooter.getBlocks.asScala.toVector
-        val rows   = blocks.map(_.getRowCount).sum
-        val shipCols = blocks.flatMap(_.getColumns.asScala)
-          .filter(_.getPath.toDotString == "l_shipdate")
-        val mins = shipCols.flatMap(c => statAsDays(c.getStatistics.genericGetMin))
-        val maxs = shipCols.flatMap(c => statAsDays(c.getStatistics.genericGetMax))
-        FileStat(
-          path = file,
-          bytes = new java.io.File(file).length(),
-          rows = rows,
-          minShipdateDays = if (mins.isEmpty) Int.MinValue else mins.min,
-          maxShipdateDays = if (maxs.isEmpty) Int.MaxValue else maxs.max,
-        )
-      }
-    }
-
-  private def statAsDays(v: Any): Option[Int] = v match {
-    case i: java.lang.Integer => Some(i.intValue)
-    case _                    => None
-  }
+    footers(path, new Configuration()).map((fileStat _).tupled)
 
   /** Files that may contain shipdates in [lo, hi] (ISO dates, conservative). */
   def pruneFiles(stats: Seq[FileStat], lo: String, hi: String): Seq[FileStat] = {
@@ -104,39 +111,31 @@ object ColdStore {
   }
 
   /** Read only the files whose min/max range overlaps [lo, hi]. The caller
-    * still applies the exact predicate — pruning is conservative.
+    * still applies the exact predicate — pruning is conservative. The footers
+    * read for pruning also give the read schema, so Spark infers none.
     */
   def prunedScan(spark: SparkSession, path: String, lo: String, hi: String)
       : (DataFrame, PruneStats) = {
-    val stats     = catalog(path)
-    val surviving = pruneFiles(stats, lo, hi)
-    val pruneInfo = PruneStats(stats.size, surviving.size)
-    val df =
-      if (surviving.isEmpty) {
-        spark.read.parquet(path).limit(0)
-      } else spark.read.parquet(surviving.map(_.path): _*)
-    (df, pruneInfo)
+    val fs        = footers(path, spark.sparkContext.hadoopConfiguration)
+    require(fs.nonEmpty, s"$path holds no Parquet files")
+    val stats     = fs.map((fileStat _).tupled)
+    val surviving = pruneFiles(stats, lo, hi).map(_.path)
+    val json      = fs.head._3.getFileMetaData.getKeyValueMetaData.get(SPARK_METADATA_KEY)
+    require(json != null, s"${fs.head._1} has no Spark schema in its footer")
+    val schema    = DataType.fromJson(json).asInstanceOf[StructType]
+    (spark.read.schema(schema).parquet(surviving: _*), PruneStats(stats.size, surviving.size))
   }
 
   /** Bridge: the real files as the scan model's layout, with *measured*
     * row-group boundaries, min/max keys, and compressed column-chunk sizes.
     */
   def layout(path: String): Vector[ParquetFile] =
-    listFiles(path).map { file =>
-      withFooter(file) { reader =>
-        val blocks = reader.getFooter.getBlocks.asScala.toVector
-        val rgs = blocks.map { b =>
-          val cols = b.getColumns.asScala.toVector
-          val ship = cols.find(_.getPath.toDotString == "l_shipdate")
-          val lo = ship.flatMap(c => statAsDays(c.getStatistics.genericGetMin))
-            .map(normalizeDays).getOrElse(0.0)
-          val hi = ship.flatMap(c => statAsDays(c.getStatistics.genericGetMax))
-            .map(normalizeDays).getOrElse(1.0)
-          RowGroup(lo, hi,
-            cols.map(c => ColumnChunk(c.getPath.toDotString, c.getTotalSize)))
-        }
-        ParquetFile(file, rgs)
-      }
+    footers(path, new Configuration()).map { case (file, _, footer) =>
+      ParquetFile(file, footer.getBlocks.asScala.toVector.map { b =>
+        val (lo, hi) = shipdateDays(b)
+        RowGroup(lo.fold(0.0)(normalizeDays), hi.fold(1.0)(normalizeDays),
+          b.getColumns.asScala.toVector.map(c => ColumnChunk(c.getPath.toDotString, c.getTotalSize)))
+      })
     }
 
   /** Measured per-column fraction of compressed bytes across a layout. */

@@ -80,9 +80,7 @@ object LambadaSim {
       s.seconds * slowdown * (1.0 + jitter(config.seed, i))
     }
 
-    val timeline =
-      if (workers <= 64) Invoker.oneLevel(workers, config.region, cold = config.cold)
-      else Invoker.twoLevel(workers, config.region, cold = config.cold)
+    val timeline = Invoker.timeline(workers, config.region, config.cold)
     // Workers start as their invocation lands; query ends when the last one
     // posts its result and the driver drains the queue.
     val finishes = timeline.workers.sortBy(_.id).map(_.runningAt)

@@ -83,11 +83,8 @@ object ExchangeSim {
     val writeJ1 = Vector.fill(p)(1.0 + theta * expDraw(rng))
     val writeJ2 = Vector.fill(p)(1.0 + theta * expDraw(rng))
 
-    val starts = {
-      val tl = (if (p <= 64) Invoker.oneLevel(p, LambdaModel.Eu, cold = false)
-                else Invoker.twoLevel(p, LambdaModel.Eu, cold = false))
-      tl.workers.sortBy(_.id).map(_.runningAt)
-    }
+    val starts = Invoker.timeline(p, LambdaModel.Eu, cold = false).workers
+      .sortBy(_.id).map(_.runningAt)
 
     val group1 = (0 until p).groupBy(_ % s) // same first coordinate
     val group2 = (0 until p).groupBy(_ / s) // same second coordinate

@@ -99,7 +99,13 @@ object Invoker {
                              threads: Int = LambdaModel.DriverInvokerThreads): Double =
     p / region.concurrentRate(threads)
 
+  /** The invocation scheme the simulations use for `p` workers: the driver
+    * alone up to 64 workers, the two-level tree above.
+    */
+  def timeline(p: Int, region: Region, cold: Boolean): InvocationTimeline =
+    if (p <= 64) oneLevel(p, region, cold = cold) else twoLevel(p, region, cold = cold)
+
   /** Invocation makespan used by the end-to-end query simulations. */
   def makespan(p: Int, region: Region = repro.model.LambdaModel.Eu, cold: Boolean = false): Double =
-    (if (p <= 64) oneLevel(p, region, cold = cold) else twoLevel(p, region, cold = cold)).makespan
+    timeline(p, region, cold).makespan
 }

@@ -117,4 +117,28 @@ class ColdStoreSpec extends SparkSpec {
     val catalogSurvivors = ColdStore.pruneFiles(stats, Queries.Q6DateLo, Queries.Q6DateHi).size
     assert(math.abs(modelSurvivors - catalogSurvivors) <= 1)
   }
+
+  test("the pruned scan's schema is the one Spark infers, for a non-empty and an empty window") {
+    val inferred = spark.read.parquet(dir).schema
+    for ((lo, hi) <- Seq((Queries.Q6DateLo, Queries.Q6DateHi), ("1890-01-01", "1890-12-31"))) {
+      val (df, _) = ColdStore.prunedScan(spark, dir, lo, hi)
+      assert(df.schema == inferred, s"window $lo..$hi")
+    }
+  }
+
+  test("catalog and layout list the same files in the same order") {
+    assert(ColdStore.layout(dir).map(_.path) == stats.map(_.path))
+    assert(stats.map(_.path) == ColdStore.listFiles(dir))
+  }
+
+  test("each file's layout min/max key is its catalog min/max shipdate, normalized") {
+    ColdStore.layout(dir).zip(stats).foreach { case (f, s) =>
+      assert(f.minKey == ColdStore.normalizeDays(s.minShipdateDays), f.path)
+      assert(f.maxKey == ColdStore.normalizeDays(s.maxShipdateDays), f.path)
+    }
+  }
+
+  test("the concurrent footer read is deterministic: two catalogs are equal") {
+    assert(ColdStore.catalog(dir) == ColdStore.catalog(dir))
+  }
 }

@@ -100,4 +100,14 @@ class InvokerSpec extends AnyFunSuite with PropSpec {
         Invoker.oneLevel(p, LambdaModel.Eu).makespan + 1e-9
     }
   }
+
+  test("timeline invokes up to 64 workers from the driver and more through the tree") {
+    for (p <- Seq(1, 64, 65, 4096); cold <- Seq(false, true)) {
+      val expected =
+        if (p <= 64) Invoker.oneLevel(p, LambdaModel.Eu, cold = cold)
+        else Invoker.twoLevel(p, LambdaModel.Eu, cold = cold)
+      assert(Invoker.timeline(p, LambdaModel.Eu, cold) == expected, s"p=$p cold=$cold")
+      assert(Invoker.makespan(p, LambdaModel.Eu, cold) == expected.makespan)
+    }
+  }
 }

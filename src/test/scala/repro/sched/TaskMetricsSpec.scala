@@ -34,4 +34,12 @@ class TaskMetricsSpec extends SparkSpec {
     spark.range(1000).count() // runs outside any collector
     assert(first.nonEmpty)
   }
+
+  test("collect returns exactly the action's tasks, without the drain marker's") {
+    val records = TaskMetrics.collect(spark) {
+      spark.sparkContext.parallelize(1 to 100, 3).count()
+    }
+    assert(records.size == 3)
+    assert(records.map(_.stageId).distinct.size == 1)
+  }
 }
