@@ -4,8 +4,8 @@ import java.util.concurrent.atomic.AtomicLong
 import scala.collection.concurrent.TrieMap
 
 /** In-memory stand-in for S3 with the interface surface the exchange
-  * operators need: PUT an object, GET an object (optionally a byte... here
-  * record... range), LIST by prefix — each call counted, so tests can check
+  * operators need: PUT an object, GET an object or a range of its records,
+  * LIST by prefix — each call counted, so tests can check
   * the *measured* request complexity of an exchange against the closed
   * forms of Table 2.
   *

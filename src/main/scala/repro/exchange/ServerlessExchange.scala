@@ -1,5 +1,8 @@
 package repro.exchange
 
+import java.util.Arrays
+import java.util.concurrent.{ConcurrentHashMap, ExecutionException, ExecutorService, Executors}
+
 /** Request totals of one exchange execution, as measured on [[MemS3]]. */
 final case class RequestCounts(gets: Long, puts: Long, lists: Long)
 
@@ -37,6 +40,13 @@ object ServerlessExchange {
   /** Run a k-level exchange. `input(w)` is worker w's local records; the
     * result's `data(w)` holds every record whose partition is w.
     *
+    * Each round's P workers run concurrently, on a per-call pool as wide as
+    * the JVM's cores: first every worker's write phase, then every worker's
+    * read phase. The end of the write phase is the round's barrier, so every
+    * object a worker reads exists. Records keep their order within a sender
+    * and senders are read in a fixed order, so the output does not depend on
+    * scheduling.
+    *
     * @param levels          number of exchange levels k (P must be a perfect
     *                        k-th power for k > 1)
     * @param writeCombining  combine each sender's partitions into one object
@@ -56,70 +66,111 @@ object ServerlessExchange {
             else exactRoot(p, levels).getOrElse(
               throw new IllegalArgumentException(s"P=$p is not a perfect $levels-th power"))
 
-    var state = input
-    var shift = 1L
-    for (round <- 1 to levels) {
-      val coordOf = (id: Int) => ((id / shift) % s).toInt
-      val groupOf = (id: Int) => id - coordOf(id) * shift.toInt // canonical representative
+    val pool = Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors)
+    try {
+      var state = input
+      var shift = 1
+      for (round <- 1 to levels) {
+        val sh = shift
+        def coordOf(id: Int): Int = (id / sh) % s
+        def groupOf(id: Int): Int = id - coordOf(id) * sh // canonical representative
 
-      // ---- write phase -------------------------------------------------
-      for (w <- 0 until p) {
-        val parts = Array.fill(s)(Vector.newBuilder[Long])
-        state(w).foreach { rec =>
-          parts(coordOf(partitionOf(rec, p))) += rec
-        }
-        val gid = groupOf(w)
-        if (writeCombining) {
-          val arrays  = parts.map(_.result().toArray)
-          val offsets = arrays.scanLeft(0)(_ + _.length)
-          val name    = s"r$round/g$gid/snd-$w-off-${offsets.mkString("_")}"
-          s3.put(s"b${gid % numBuckets}", name, arrays.flatten)
-        } else {
-          for (v <- 0 until s) {
-            val receiver = gid + v * shift.toInt
-            s3.put(s"b${receiver % numBuckets}",
-              s"r$round/snd-$w/rcv-$receiver", parts(v).result().toArray)
+        // ---- write phase -----------------------------------------------
+        inParallel(pool, p) { w =>
+          val (sorted, offsets) = sortByDest(state(w), s)(rec => coordOf(partitionOf(rec, p)))
+          val gid = groupOf(w)
+          if (writeCombining) {
+            val name = s"r$round/g$gid/snd-$w-off-${offsets.mkString("_")}"
+            s3.put(s"b${gid % numBuckets}", name, sorted)
+          } else {
+            for (v <- 0 until s) {
+              val receiver = gid + v * sh
+              s3.put(s"b${receiver % numBuckets}", s"r$round/snd-$w/rcv-$receiver",
+                Arrays.copyOfRange(sorted, offsets(v), offsets(v + 1)))
+            }
           }
         }
-      }
 
-      // ---- read phase --------------------------------------------------
-      // Offset vectors are encoded in object names; every receiver in a
-      // group parses the same names, so cache the parse (a pure driver-side
-      // computation — request counts are unaffected).
-      val offsetCache = scala.collection.mutable.HashMap.empty[String, Array[Int]]
-      val next = Vector.tabulate(p) { w =>
-        val gid = groupOf(w)
-        val myCoord = coordOf(w)
-        if (writeCombining) {
-          val names = s3.list(s"b${gid % numBuckets}", s"r$round/g$gid/snd-")
-          names.iterator.flatMap { name =>
-            val off = offsetCache.getOrElseUpdate(name,
-              name.substring(name.indexOf("-off-") + 5).split('_').map(_.toInt))
-            val sender = name.substring(name.indexOf("snd-") + 4, name.indexOf("-off-")).toInt
-            require(sender >= 0 && sender < p, s"bad sender in $name")
-            s3.getRange(s"b${gid % numBuckets}", name, off(myCoord), off(myCoord + 1))
-              .getOrElse(Array.empty[Long])
-          }.toArray
-        } else {
-          (0 until s).iterator.flatMap { v =>
-            val sender = gid + v * shift.toInt
-            s3.get(s"b${w % numBuckets}", s"r$round/snd-$sender/rcv-$w")
-              .getOrElse(throw new IllegalStateException(s"missing file from $sender to $w"))
-          }.toArray
+        // ---- read phase ------------------------------------------------
+        // Offset vectors are encoded in object names; every receiver in a
+        // group parses the same names, so cache the parse (a pure local
+        // computation — request counts are unaffected).
+        val offsetCache = new ConcurrentHashMap[String, Array[Int]]
+        state = inParallel(pool, p) { w =>
+          val gid = groupOf(w)
+          val myCoord = coordOf(w)
+          if (writeCombining) {
+            val names = s3.list(s"b${gid % numBuckets}", s"r$round/g$gid/snd-")
+            concat(names.map { name =>
+              val off = offsetCache.computeIfAbsent(name,
+                _ => name.substring(name.indexOf("-off-") + 5).split('_').map(_.toInt))
+              val sender = name.substring(name.indexOf("snd-") + 4, name.indexOf("-off-")).toInt
+              require(sender >= 0 && sender < p, s"bad sender in $name")
+              s3.getRange(s"b${gid % numBuckets}", name, off(myCoord), off(myCoord + 1))
+                .getOrElse(Array.empty[Long])
+            })
+          } else {
+            concat((0 until s).map { v =>
+              val sender = gid + v * sh
+              s3.get(s"b${w % numBuckets}", s"r$round/snd-$sender/rcv-$w")
+                .getOrElse(throw new IllegalStateException(s"missing file from $sender to $w"))
+            })
+          }
         }
+        shift *= s
       }
-      state = next
-      shift *= s
-    }
 
-    ExchangeResult(state,
-      RequestCounts(s3.getCount.get(), s3.putCount.get(), s3.listCount.get()))
+      ExchangeResult(state,
+        RequestCounts(s3.getCount.get(), s3.putCount.get(), s3.listCount.get()))
+    } finally pool.shutdownNow()
   }
 
-  /** Ground truth: records grouped by their hash partition. */
+  /** `f(0) ... f(n - 1)` on `pool`, returned once all have finished. A
+    * failure reaches the caller as the task's own exception.
+    */
+  private def inParallel[A](pool: ExecutorService, n: Int)(f: Int => A): Vector[A] =
+    Vector.tabulate(n)(i => pool.submit[A](() => f(i))).map { task =>
+      try task.get() catch { case e: ExecutionException => throw e.getCause }
+    }
+
+  /** Stable counting sort of `recs` by `dest(rec)` in [0, s): the sorted
+    * records, and the s + 1 offsets at which each destination's run starts
+    * (the last is `recs.length`).
+    */
+  private def sortByDest(recs: Array[Long], s: Int)(dest: Long => Int): (Array[Long], Array[Int]) = {
+    val offsets = new Array[Int](s + 1)
+    var i = 0
+    while (i < recs.length) { offsets(dest(recs(i)) + 1) += 1; i += 1 }
+    var d = 0
+    while (d < s) { offsets(d + 1) += offsets(d); d += 1 }
+    val next   = Arrays.copyOf(offsets, s)
+    val sorted = new Array[Long](recs.length)
+    i = 0
+    while (i < recs.length) {
+      val d = dest(recs(i))
+      sorted(next(d)) = recs(i)
+      next(d) += 1
+      i += 1
+    }
+    (sorted, offsets)
+  }
+
+  /** The arrays joined end to end, in order. */
+  private def concat(parts: Seq[Array[Long]]): Array[Long] = {
+    val out = new Array[Long](parts.iterator.map(_.length).sum)
+    var at  = 0
+    for (a <- parts) { System.arraycopy(a, 0, out, at, a.length); at += a.length }
+    out
+  }
+
+  /** Ground truth: records grouped by their hash partition, each group sorted. */
   def expectedPlacement(input: Vector[Array[Long]], p: Int): Vector[Vector[Long]] = {
-    val all = input.flatten
-    Vector.tabulate(p)(w => all.filter(partitionOf(_, p) == w).sorted)
+    val groups = Array.fill(p)(Array.newBuilder[Long])
+    for (part <- input; rec <- part) groups(partitionOf(rec, p)) += rec
+    groups.iterator.map { g =>
+      val recs = g.result()
+      Arrays.sort(recs)
+      recs.toVector
+    }.toVector
   }
 }

@@ -1,5 +1,7 @@
 package repro.exchange
 
+import java.util.concurrent.Executors
+
 import org.scalatest.funsuite.AnyFunSuite
 
 class MemS3Spec extends AnyFunSuite {
@@ -56,5 +58,23 @@ class MemS3Spec extends AnyFunSuite {
     s3.resetCounters()
     assert(s3.putCount.get == 0 && s3.getCount.get == 0 && s3.listCount.get == 0)
     assert(s3.get("b", "k").nonEmpty)
+  }
+
+  test("concurrent puts and gets of distinct keys are all counted and all read back") {
+    val s3      = new MemS3
+    val threads = 4
+    val keys    = for (t <- 0 until threads * 2; i <- 0 until 500)
+                    yield (s"b${i % 3}", s"t$t/k$i", Array(t.toLong, i.toLong))
+    val pool    = Executors.newFixedThreadPool(threads)
+    def onPool[A](f: ((String, String, Array[Long])) => A): Seq[A] =
+      keys.grouped(500).toSeq.map(chunk => pool.submit[Seq[A]](() => chunk.map(f))).flatMap(_.get)
+    try {
+      onPool { case (b, k, v) => s3.put(b, k, v) }
+      val got = onPool { case (b, k, v) => s3.get(b, k).exists(_.sameElements(v)) }
+      assert(got.forall(identity))
+    } finally pool.shutdown()
+    assert(s3.putCount.get == keys.size && s3.getCount.get == keys.size)
+    assert(s3.objectCount == keys.size)
+    assert(s3.bucketNames == Set("b0", "b1", "b2"))
   }
 }

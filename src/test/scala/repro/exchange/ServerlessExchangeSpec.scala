@@ -66,12 +66,35 @@ class ServerlessExchangeSpec extends AnyFunSuite with PropSpec {
   }
 
   test("Table 2: measured requests equal the closed forms at P=729") {
-    for (algo <- ExchangeModel.Algorithms if algo.levels != 3 || true) {
+    for (algo <- ExchangeModel.Algorithms) {
       val counts = assertCorrect(729, algo.levels, algo.writeCombining, records = 4)
       assert(counts.gets == ExchangeModel.reads(algo, 729), s"${algo.label} gets")
       assert(counts.puts == ExchangeModel.writes(algo, 729), s"${algo.label} puts")
       assert(counts.lists == ExchangeModel.lists(algo, 729), s"${algo.label} lists")
     }
+  }
+
+  // ---- concurrent workers -------------------------------------------------
+
+  private def assertRepeatable(p: Int, records: Int): Unit =
+    for (algo <- ExchangeModel.Algorithms) {
+      val input = randomInput(p, records, seed = p + algo.levels)
+      def once() = ServerlessExchange.run(input, algo.levels, algo.writeCombining).data.map(_.toVector)
+      assert(once() == once(), s"${algo.label}: output order differs between runs at P=$p")
+    }
+
+  test("concurrent workers return identical, identically ordered output at P=64") {
+    assertRepeatable(64, 20)
+  }
+
+  test("concurrent workers return identical, identically ordered output at P=729") {
+    assertRepeatable(729, 4)
+  }
+
+  test("a worker's failure reaches the caller as its own exception") {
+    val input = randomInput(64, 4).updated(5, null)
+    for (algo <- ExchangeModel.Algorithms)
+      intercept[NullPointerException](ServerlessExchange.run(input, algo.levels, algo.writeCombining))
   }
 
   test("two levels reduce requests by sqrt(P)/2 versus basic (Section 4.4.2)") {
