@@ -20,16 +20,9 @@ object ExchangeModel {
     ExchangeAlgo(3, writeCombining = false), ExchangeAlgo(3, writeCombining = true),
   )
 
-  /** Grid side length s = P^(1/k) (exact for perfect powers, else ceil). */
-  def sideLength(p: Int, levels: Int): Long =
-    if (levels == 1) p.toLong
-    else ServerlessExchange.exactRoot(p, levels)
-      .map(_.toLong)
-      .getOrElse(math.ceil(math.pow(p.toDouble, 1.0 / levels)).toLong)
-
-  /** Total GET requests: k * P * P^(1/k)  (P^2 for the basic algorithm). */
+  /** Total GET requests: P * sum of the [[Grid]]'s radices (k * P^(1+1/k) for a perfect power). */
   def reads(algo: ExchangeAlgo, p: Int): Long =
-    algo.levels.toLong * p * sideLength(p, algo.levels)
+    p.toLong * Grid(p, algo.levels).radices.sum
 
   /** Total PUT requests: k * P with write combining, else same as reads. */
   def writes(algo: ExchangeAlgo, p: Int): Long =
@@ -62,12 +55,12 @@ object ExchangeModel {
   def workerDollarsHigh(p: Int): Double =
     p * 3 * (1024.0 / 85.0) * 3.3e-5
 
-  /** Requests per second per bucket during one round of a k-level exchange
-    * spread over B buckets, assuming the round takes `roundSeconds` — the
-    * quantity the S3 rate limit applies to (Section 4.4.2).
+  /** Requests per second per bucket during the busiest (largest-radix) round
+    * of a k-level exchange spread over B buckets, assuming the round takes
+    * `roundSeconds` — the quantity the S3 rate limit applies to (Section 4.4.2).
     */
   def requestRatePerBucket(p: Int, levels: Int, buckets: Int, roundSeconds: Double): Double = {
     require(buckets >= 1 && roundSeconds > 0)
-    p.toDouble * sideLength(p, levels) / buckets / roundSeconds
+    p.toDouble * Grid(p, levels).radices.max / buckets / roundSeconds
   }
 }

@@ -72,7 +72,7 @@ object ExchangeSim {
   /** Lambada's TwoLevelExchange on `p` workers over `dataBytes`. */
   def lambadaTwoLevel(p: Int, dataBytes: Double, seed: Long = 7L): ExchangeRun = {
     require(p >= 4, "exchange needs at least 4 workers")
-    val s     = math.ceil(math.sqrt(p.toDouble)).toInt
+    val grid  = Grid(p, 2)
     val phase = dataBytes / p / PerWorkerBytesPerSecond
     val r     = demandRatio(p)
     val theta = JitterBase + JitterContention * math.max(0.0, r - 1.0)
@@ -86,19 +86,18 @@ object ExchangeSim {
     val starts = Invoker.timeline(p, LambdaModel.Eu, cold = false).workers
       .sortBy(_.id).map(_.runningAt)
 
-    val group1 = (0 until p).groupBy(_ % s) // same first coordinate
-    val group2 = (0 until p).groupBy(_ / s) // same second coordinate
+    def group(d: Int)(i: Int): Int = grid.withCoord(i, d, 0) // round d + 1's barrier group
 
     val readDone  = Vector.tabulate(p)(i => starts(i) + phase * readJ(i)(0))
     val w1        = Vector.tabulate(p)(i => phase * writeJ1(i))
     val w1Done    = Vector.tabulate(p)(i => readDone(i) + w1(i))
-    val g1Max     = group1.map { case (g, ms) => g -> ms.map(w1Done).max }
-    val wait1     = Vector.tabulate(p)(i => g1Max(i % s) + coord - w1Done(i))
+    val g1Max     = (0 until p).groupMapReduce(group(0))(w1Done)(math.max)
+    val wait1     = Vector.tabulate(p)(i => g1Max(group(0)(i)) + coord - w1Done(i))
     val r1Done    = Vector.tabulate(p)(i => w1Done(i) + wait1(i) + phase * readJ(i)(1))
     val w2        = Vector.tabulate(p)(i => phase * writeJ2(i))
     val w2Done    = Vector.tabulate(p)(i => r1Done(i) + w2(i))
-    val g2Max     = group2.map { case (g, ms) => g -> ms.map(w2Done).max }
-    val wait2     = Vector.tabulate(p)(i => g2Max(i / s) + coord - w2Done(i))
+    val g2Max     = (0 until p).groupMapReduce(group(1))(w2Done)(math.max)
+    val wait2     = Vector.tabulate(p)(i => g2Max(group(1)(i)) + coord - w2Done(i))
     val done      = Vector.tabulate(p)(i => w2Done(i) + wait2(i) + phase * readJ(i)(2))
 
     ExchangeRun(

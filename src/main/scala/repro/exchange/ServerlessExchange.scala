@@ -13,14 +13,14 @@ final case class ExchangeResult(data: Vector[Array[Long]], requests: RequestCoun
   * (Algorithms 1 and 2, generalized to k levels, with and without write
   * combining — Section 4.4), running against [[MemS3]].
   *
-  * Workers form a k-dimensional grid with side length s = P^(1/k). In round
-  * i each worker exchanges data within the group of workers that agree with
-  * it on every coordinate except dimension i, routing each record to the
-  * worker whose dimension-i coordinate matches that of the record's target
-  * partition. After k rounds every record sits on the worker owning its
-  * partition. k = 1 with s = P degenerates to BasicExchange.
+  * Workers form the k-dimensional [[Grid]] of P, whose radices s_1..s_k
+  * multiply to P. In round i each worker exchanges data within the group of
+  * s_i workers that agree with it on every coordinate except dimension i - 1,
+  * routing each record to the worker whose coordinate there matches that of
+  * the record's target partition. After k rounds every record sits on the
+  * worker owning its partition. k = 1 (one radix, P) is BasicExchange.
   *
-  * Write combining replaces the s per-partition objects of a round with one
+  * Write combining replaces the s_i per-partition objects of a round with one
   * object per sender whose partition offsets are encoded in the object
   * *name*; receivers LIST the group's prefix and issue ranged GETs
   * (Section 4.4.3, the cheaper offsets-in-name variant).
@@ -29,13 +29,6 @@ object ServerlessExchange {
 
   /** Hash partitioning of a record key onto P partitions. */
   def partitionOf(key: Long, p: Int): Int = (((key % p) + p) % p).toInt
-
-  /** Integer k-th root if exact, else None. */
-  def exactRoot(p: Int, k: Int): Option[Int] = {
-    require(p >= 1 && k >= 1)
-    val s = math.round(math.pow(p.toDouble, 1.0 / k)).toInt
-    Iterator(s - 1, s, s + 1).find(c => c >= 1 && BigInt(c).pow(k) == BigInt(p))
-  }
 
   /** Run a k-level exchange. `input(w)` is worker w's local records; the
     * result's `data(w)` holds every record whose partition is w.
@@ -47,8 +40,7 @@ object ServerlessExchange {
     * and senders are read in a fixed order, so the output does not depend on
     * scheduling.
     *
-    * @param levels          number of exchange levels k (P must be a perfect
-    *                        k-th power for k > 1)
+    * @param levels          number of exchange levels k (any P)
     * @param writeCombining  combine each sender's partitions into one object
     * @param numBuckets      buckets to spread objects over (rate-limit trick)
     */
@@ -61,30 +53,27 @@ object ServerlessExchange {
   ): ExchangeResult = {
     val p = input.size
     require(p >= 1, "need at least one worker")
-    require(levels >= 1, "need at least one level")
-    val s = if (levels == 1) p
-            else exactRoot(p, levels).getOrElse(
-              throw new IllegalArgumentException(s"P=$p is not a perfect $levels-th power"))
+    require(numBuckets >= 1, "need at least one bucket")
+    val grid = Grid(p, levels)
 
     val pool = Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors)
     try {
       var state = input
-      var shift = 1
       for (round <- 1 to levels) {
-        val sh = shift
-        def coordOf(id: Int): Int = (id / sh) % s
-        def groupOf(id: Int): Int = id - coordOf(id) * sh // canonical representative
+        val d = round - 1
+        val s = grid.radices(d)
+        def groupOf(id: Int): Int = grid.withCoord(id, d, 0) // canonical representative
 
         // ---- write phase -----------------------------------------------
         inParallel(pool, p) { w =>
-          val (sorted, offsets) = sortByDest(state(w), s)(rec => coordOf(partitionOf(rec, p)))
+          val (sorted, offsets) = sortByDest(state(w), s)(rec => grid.coord(partitionOf(rec, p), d))
           val gid = groupOf(w)
           if (writeCombining) {
             val name = s"r$round/g$gid/snd-$w-off-${offsets.mkString("_")}"
             s3.put(s"b${gid % numBuckets}", name, sorted)
           } else {
             for (v <- 0 until s) {
-              val receiver = gid + v * sh
+              val receiver = grid.withCoord(gid, d, v)
               s3.put(s"b${receiver % numBuckets}", s"r$round/snd-$w/rcv-$receiver",
                 Arrays.copyOfRange(sorted, offsets(v), offsets(v + 1)))
             }
@@ -98,7 +87,7 @@ object ServerlessExchange {
         val offsetCache = new ConcurrentHashMap[String, Array[Int]]
         state = inParallel(pool, p) { w =>
           val gid = groupOf(w)
-          val myCoord = coordOf(w)
+          val myCoord = grid.coord(w, d)
           if (writeCombining) {
             val names = s3.list(s"b${gid % numBuckets}", s"r$round/g$gid/snd-")
             concat(names.map { name =>
@@ -111,13 +100,12 @@ object ServerlessExchange {
             })
           } else {
             concat((0 until s).map { v =>
-              val sender = gid + v * sh
+              val sender = grid.withCoord(gid, d, v)
               s3.get(s"b${w % numBuckets}", s"r$round/snd-$sender/rcv-$w")
                 .getOrElse(throw new IllegalStateException(s"missing file from $sender to $w"))
             })
           }
         }
-        shift *= s
       }
 
       ExchangeResult(state,

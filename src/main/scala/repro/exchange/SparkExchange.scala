@@ -17,12 +17,12 @@ final class IdPartitioner(val numPartitions: Int) extends Partitioner {
 
 /** The paper's TwoLevelExchange (Algorithm 2) executed as *real* data
   * movement inside Spark. The contribution is a physical exchange operator,
-  * so this sits at the physical (RDD partitioning) layer: round 1 routes each
-  * record within its grid row to fix the second coordinate of its target
-  * partition, round 2 within its grid column to fix the first — after two
-  * rounds every record resides in exactly the partition a direct hash
-  * exchange would have chosen, while each round only communicates within
-  * groups of sqrt(P) workers.
+  * so this sits at the physical (RDD partitioning) layer: on the two-level
+  * [[Grid]] of P, round 1 routes each record within its grid column to fix
+  * the first coordinate of its target partition, round 2 within its grid row
+  * to fix the second — after two rounds every record resides in exactly the
+  * partition a direct hash exchange would have chosen, while round i only
+  * communicates within groups of s_i workers (the grid's radices).
   */
 object SparkExchange {
 
@@ -46,21 +46,18 @@ object SparkExchange {
   def direct(df: DataFrame, p: Int): DataFrame =
     route(df.repartition(p), p)((_, key) => targetPartition(key, p))
 
-  /** Two-level grid exchange. Requires P to be a perfect square. */
-  def twoLevel(df: DataFrame, p: Int): DataFrame = {
-    val s = math.round(math.sqrt(p.toDouble)).toInt
-    require(s * s == p, s"two-level exchange needs a perfect square worker count, got $p")
-    val r1 = route(df.repartition(p), p) { (pid, key) =>
-      val p1 = pid % s
-      val t2 = targetPartition(key, p) / s
-      p1 + s * t2
-    }
-    route(r1, p) { (pid, key) =>
-      val p2 = pid / s
-      val t1 = targetPartition(key, p) % s
-      t1 + s * p2
-    }
+  /** Per round of the two-level grid, the partition a record moves to: its
+    * own, with that round's coordinate replaced by its target's.
+    */
+  private def gridRounds(p: Int): Seq[(Int, Long) => Int] = {
+    val grid = Grid(p, 2)
+    Seq(0, 1).map(d => (pid: Int, key: Long) =>
+      grid.withCoord(pid, d, grid.coord(targetPartition(key, p), d)))
   }
+
+  /** Two-level grid exchange, at any P. */
+  def twoLevel(df: DataFrame, p: Int): DataFrame =
+    gridRounds(p).foldLeft(df.repartition(p))((routed, pidOf) => route(routed, p)(pidOf))
 
   /** Per-partition histogram of target partitions — empty iff every record
     * already sits on its target (used to assert exchange correctness).
@@ -74,8 +71,8 @@ object SparkExchange {
 
   /** Number of (sender partition, receiver) pairs with data in one routing
     * round — the analogue of the files (requests) a serverless exchange
-    * round creates. For the two-level exchange each round's count is
-    * bounded by P * sqrt(P) (Table 2).
+    * round creates. For the two-level exchange round i's count is bounded
+    * by P * s_i (Table 2).
     */
   def roundFileCount(df: DataFrame, p: Int)(pidOf: (Int, Long) => Int): Long = {
     val keyIdx = df.schema.fieldIndex("k")
@@ -88,17 +85,9 @@ object SparkExchange {
     * to p partitions), for comparison against the Table 2 bounds.
     */
   def twoLevelRoundFiles(df: DataFrame, p: Int): (Long, Long) = {
-    val s = math.round(math.sqrt(p.toDouble)).toInt
-    require(s * s == p, s"needs a perfect square, got $p")
+    val Seq(round1, round2) = gridRounds(p)
     val base = df.repartition(p)
-    val round1 = roundFileCount(base, p) { (pid, key) =>
-      (pid % s) + s * (targetPartition(key, p) / s)
-    }
-    val r1 = route(base, p)((pid, key) => (pid % s) + s * (targetPartition(key, p) / s))
-    val round2 = roundFileCount(r1, p) { (pid, key) =>
-      (targetPartition(key, p) % s) + s * (pid / s)
-    }
-    (round1, round2)
+    (roundFileCount(base, p)(round1), roundFileCount(route(base, p)(round1), p)(round2))
   }
 
   /** Aggregate `sum(v) group by k` *without any further shuffle*, relying on

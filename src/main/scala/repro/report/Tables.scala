@@ -120,7 +120,7 @@ object Tables {
                              measuredGets: Long, measuredPuts: Long, measuredLists: Long)
 
   /** Closed forms next to the request counts *measured* by actually running
-    * each algorithm on MemS3. P must be a perfect square and cube (64, 729).
+    * each algorithm on MemS3, at any P (the paper's rows: 64 and 729).
     */
   def table2Rows(p: Int = 64, recordsPerWorker: Int = 16, seed: Long = 3L): Seq[Table2Row] = {
     val rng   = new scala.util.Random(seed)

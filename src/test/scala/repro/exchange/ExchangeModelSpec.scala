@@ -104,6 +104,17 @@ class ExchangeModelSpec extends AnyFunSuite with PropSpec {
     }
   }
 
+  checkProp("reads are P times the sum of the grid's radices, at any P") {
+    Prop.forAll(Gen.choose(1, 2000), Gen.oneOf(ExchangeModel.Algorithms)) { (p, algo) =>
+      ExchangeModel.reads(algo, p) == p.toLong * Grid(p, algo.levels).radices.sum
+    }
+  }
+
+  test("Fig 9: 3l reads at P=256 and 1024 are those of the (8, 8, 4) and (16, 8, 8) grids") {
+    assert(ExchangeModel.reads(algo3, 256) == 256L * 20)
+    assert(ExchangeModel.reads(algo3w, 1024) == 1024L * 32)
+  }
+
   checkProp("reads scale as k * P^(1+1/k) for perfect powers") {
     Prop.forAll(Gen.choose(2, 30)) { s =>
       val p2 = s * s

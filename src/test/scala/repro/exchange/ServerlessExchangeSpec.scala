@@ -121,19 +121,31 @@ class ServerlessExchangeSpec extends AnyFunSuite with PropSpec {
     assert(s3.bucketNames.size == 10)
   }
 
-  test("P not a perfect power is rejected for multi-level exchanges") {
-    intercept[IllegalArgumentException](
-      ServerlessExchange.run(randomInput(15, 4), 2, writeCombining = false))
-    intercept[IllegalArgumentException](
-      ServerlessExchange.run(randomInput(100, 4), 3, writeCombining = false))
+  private def assertMatchesClosedForms(p: Int, algo: ExchangeAlgo, records: Int): Unit = {
+    val counts = assertCorrect(p, algo.levels, algo.writeCombining, records)
+    assert(counts == RequestCounts(ExchangeModel.reads(algo, p), ExchangeModel.writes(algo, p),
+      ExchangeModel.lists(algo, p)), s"${algo.label} at P=$p")
   }
 
-  test("exactRoot identifies perfect powers exactly") {
-    assert(ServerlessExchange.exactRoot(64, 2).contains(8))
-    assert(ServerlessExchange.exactRoot(64, 3).contains(4))
-    assert(ServerlessExchange.exactRoot(729, 3).contains(9))
-    assert(ServerlessExchange.exactRoot(63, 2).isEmpty)
-    assert(ServerlessExchange.exactRoot(1, 3).contains(1))
+  test("P not a perfect power: exact placement, closed-form counts") {
+    for (wc <- Seq(false, true)) {
+      assertMatchesClosedForms(15, ExchangeAlgo(2, wc), records = 4)
+      assertMatchesClosedForms(100, ExchangeAlgo(3, wc), records = 4)
+    }
+  }
+
+  test("Table 3's worker counts (P=250, 500, 1000) run at two and three levels") {
+    for (p <- Seq(250, 500, 1000); algo <- ExchangeModel.Algorithms if algo.levels > 1)
+      assertMatchesClosedForms(p, algo, records = 4)
+  }
+
+  test("fewer than one bucket is rejected before any worker runs") {
+    for (buckets <- Seq(0, -1)) {
+      val s3 = new MemS3
+      intercept[IllegalArgumentException](
+        ServerlessExchange.run(randomInput(4, 2), 2, writeCombining = false, numBuckets = buckets, s3 = s3))
+      assert(s3.putCount.get() == 0)
+    }
   }
 
   test("partitionOf is stable and in range for extreme keys") {
@@ -156,6 +168,23 @@ class ServerlessExchangeSpec extends AnyFunSuite with PropSpec {
       val input = randomInput(p, n, seed)
       val res   = ServerlessExchange.run(input, 2, wc)
       res.data.map(_.sorted.toVector) == ServerlessExchange.expectedPlacement(input, p)
+    }
+  }
+
+  checkProp("any P <= 400, every variant: exact placement, counts equal the closed forms",
+      minSuccessful = 200) {
+    val gen = for {
+      p    <- Gen.choose(1, 400)
+      algo <- Gen.oneOf(ExchangeModel.Algorithms)
+      n    <- Gen.choose(0, 4)
+      seed <- Gen.choose(0L, 10000L)
+    } yield (p, algo, n, seed)
+    Prop.forAll(gen) { case (p, algo, n, seed) =>
+      val input = randomInput(p, n, seed)
+      val res   = ServerlessExchange.run(input, algo.levels, algo.writeCombining)
+      res.data.map(_.sorted.toVector) == ServerlessExchange.expectedPlacement(input, p) &&
+        res.requests == RequestCounts(ExchangeModel.reads(algo, p), ExchangeModel.writes(algo, p),
+          ExchangeModel.lists(algo, p))
     }
   }
 

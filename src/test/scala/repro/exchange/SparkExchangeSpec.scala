@@ -21,11 +21,12 @@ class SparkExchangeSpec extends SparkSpec {
     assert(SparkExchange.misplacedCount(SparkExchange.twoLevel(data, P), P) == 0)
   }
 
+  private def partitionContents(df: org.apache.spark.sql.DataFrame): Map[Int, Seq[(Long, Double)]] =
+    df.rdd.mapPartitionsWithIndex { (pid, it) =>
+      Iterator.single(pid -> it.map(r => (r.getLong(0), r.getDouble(1))).toSeq.sorted)
+    }.collect().toMap
+
   test("two-level and direct exchanges agree partition by partition") {
-    def partitionContents(df: org.apache.spark.sql.DataFrame): Map[Int, Seq[(Long, Double)]] =
-      df.rdd.mapPartitionsWithIndex { (pid, it) =>
-        Iterator.single(pid -> it.map(r => (r.getLong(0), r.getDouble(1))).toSeq.sorted)
-      }.collect().toMap
     val a = partitionContents(SparkExchange.direct(data, P))
     val b = partitionContents(SparkExchange.twoLevel(data, P))
     assert(a == b)
@@ -73,8 +74,12 @@ class SparkExchangeSpec extends SparkSpec {
     assert(exchanged.count() == 3000)
   }
 
-  test("non-square worker counts are rejected for the two-level route") {
-    intercept[IllegalArgumentException](SparkExchange.twoLevel(data, 15))
+  test("non-square and prime P route exactly as the direct exchange") {
+    for (p <- Seq(15, 13)) {
+      val exchanged = SparkExchange.twoLevel(data, p)
+      assert(SparkExchange.misplacedCount(exchanged, p) == 0, s"P=$p")
+      assert(partitionContents(exchanged) == partitionContents(SparkExchange.direct(data, p)), s"P=$p")
+    }
   }
 
   test("targetPartition agrees with the serverless exchange's partitioner") {
