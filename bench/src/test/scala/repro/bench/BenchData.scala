@@ -1,8 +1,6 @@
 package repro.bench
 
-import java.nio.file.Files
-
-import repro.{SparkSpec, SynthData}
+import repro.{ColdStoreFixture, SparkSpec}
 import repro.coldstore.ColdStore
 import repro.scan.ParquetFile
 
@@ -13,18 +11,8 @@ import repro.scan.ParquetFile
   */
 object BenchData {
   val ScaleFactor: Double = sys.env.getOrElse("BENCH_SF", "0.1").toDouble
-  val NFiles: Int = 32
 
-  private var dirOpt: Option[String] = None
-
-  def dir(spec: SparkSpec): String = synchronized {
-    dirOpt.getOrElse {
-      val d = Files.createTempDirectory("bench-coldstore").toString + "/lineitem"
-      ColdStore.write(SynthData.lineitem(spec.spark, ScaleFactor), d, NFiles)
-      dirOpt = Some(d)
-      d
-    }
-  }
+  def dir(spec: SparkSpec): String = ColdStoreFixture.dir(spec, ScaleFactor)
 
   def layout(spec: SparkSpec): Vector[ParquetFile] = ColdStore.layout(dir(spec))
 

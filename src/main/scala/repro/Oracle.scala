@@ -2,7 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
@@ -42,15 +42,15 @@ object Oracle {
         conn.createStatement.execute(
           s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
         )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        // Collect once and bulk-load through the appender: JDBC batch
+        // inserts run row at a time in DuckDB. Close it to flush the rows.
+        val app = conn.unwrap(classOf[DuckDBConnection])
+          .createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull: String))
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DecimalType
 
+import repro.coldstore.ColdStore
 import repro.scan.QueryProfile
 
 /** TPC-H Queries 1 and 6 — the paper's evaluation queries (Sections 5.2–5.4)
@@ -85,16 +86,13 @@ object Queries {
        |  AND CAST(l_quantity AS DOUBLE) < 24""".stripMargin
 
   // ---------------------------------------------------------------------
-  // Query profiles for the scan/cost models. The normalized key domain is
-  // SynthData's l_shipdate range: 1992-01-01 + [0, 2557) days.
+  // Query profiles for the scan/cost models, over the cold store's
+  // normalized l_shipdate key domain (`ColdStore.normalizeDays`).
   // ---------------------------------------------------------------------
 
-  /** Days between 1992-01-01 and a date, normalized by the 2557-day span. */
-  def normalizedShipdate(date: String): Double = {
-    val epoch = java.time.LocalDate.parse("1992-01-01")
-    val d     = java.time.LocalDate.parse(date)
-    java.time.temporal.ChronoUnit.DAYS.between(epoch, d).toDouble / 2557.0
-  }
+  /** A date (yyyy-mm-dd) on the normalized [0, 1] shipdate key domain. */
+  def normalizedShipdate(date: String): Double =
+    ColdStore.normalizeDays(java.time.LocalDate.parse(date).toEpochDay.toInt)
 
   val Q1Columns: Set[String] = Set("l_quantity", "l_extendedprice", "l_discount", "l_tax",
     "l_returnflag", "l_linestatus", "l_shipdate")

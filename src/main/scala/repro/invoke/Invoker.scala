@@ -70,8 +70,8 @@ object Invoker {
     val driverRate = region.concurrentRate(threads)
     // Distribute the remaining p - gen1Count IDs over the gen-1 workers.
     val remaining  = p - gen1Count
-    val baseKids   = if (gen1Count == 0) 0 else remaining / gen1Count
-    val extraKids  = if (gen1Count == 0) 0 else remaining % gen1Count
+    val baseKids   = remaining / gen1Count
+    val extraKids  = remaining % gen1Count
 
     val builder = Vector.newBuilder[WorkerStart]
     var nextId  = gen1Count

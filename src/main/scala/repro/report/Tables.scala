@@ -284,12 +284,9 @@ object Tables {
       sf1000: Vector[ParquetFile] = ParquetLayout.lineitemSf1000(),
       columnFractions: Map[String, Double] = ParquetLayout.LineitemColumnFractions,
   ): Seq[Fig12Row] = {
-    val sf10000 = {
-      // SF 10k = the SF 1k files replicated ten times (Section 5.1): pruning
-      // fractions and per-file work are identical, worker count x10.
-      Vector.tabulate(10)(rep => sf1000.map(f => f.copy(path = s"rep-$rep/${f.path}"))).flatten
-    }
-    val scales = Seq((1000, sf1000), (10000, sf10000))
+    // Pruning fractions and per-file work are identical at SF 10k; only the
+    // worker count grows ten-fold.
+    val scales = Seq((1000, sf1000), (10000, ParquetLayout.lineitemSf10000(sf1000)))
     val queries = Seq((Queries.Q1Profile, BigQuery.Q1), (Queries.Q6Profile, BigQuery.Q6))
 
     scales.flatMap { case (sf, files) =>

@@ -99,9 +99,6 @@ object ParquetLayout {
     sortedTable(nFiles = 320, totalBytes = (151L * 1024 * 1024 * 1024), columnFractions)
 
   /** SF 10000 = the SF 1000 files replicated ten times (Section 5.1). */
-  def lineitemSf10000(columnFractions: Map[String, Double] = LineitemColumnFractions)
-      : Vector[ParquetFile] = {
-    val base = lineitemSf1000(columnFractions)
-    Vector.tabulate(10)(r => base.map(f => f.copy(path = s"rep-$r/${f.path}"))).flatten
-  }
+  def lineitemSf10000(sf1000: Vector[ParquetFile] = lineitemSf1000()): Vector[ParquetFile] =
+    Vector.tabulate(10)(r => sf1000.map(f => f.copy(path = s"rep-$r/${f.path}"))).flatten
 }

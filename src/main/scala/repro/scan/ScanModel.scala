@@ -93,7 +93,7 @@ object ScanModel {
         // One request per column chunk, more if a chunk exceeds the range size.
         requests += surviving.iterator.flatMap(_.chunks)
           .filter(c => profile.usedColumns.contains(c.column))
-          .map(c => math.max(1L, (c.bytes + DownloadChunkBytes - 1) / DownloadChunkBytes))
+          .map(c => math.max(1L, S3Model.requestCount(c.bytes, DownloadChunkBytes)))
           .sum
       }
     }

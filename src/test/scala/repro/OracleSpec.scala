@@ -1,0 +1,33 @@
+package repro
+
+import org.apache.spark.sql.functions._
+
+import repro.core.Queries
+
+class OracleSpec extends SparkSpec {
+
+  private lazy val lineitem = SynthData.lineitem(spark, sf = 0.001).cache()
+
+  test("a Spark answer over a relation with rows removed is rejected") {
+    val missing = lineitem.filter(col("l_linenumber") =!= 1)
+    assert(missing.count() < lineitem.count())
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(Queries.q6(missing), Queries.q6DuckSql, "lineitem" -> lineitem)
+    }
+  }
+
+  test("a null loads as SQL NULL and a non-ASCII string loads unchanged") {
+    import spark.implicits._
+    val strings = Seq(Some("naïve – 東京 ✓"), None, Some("plain")).toDF("s")
+    val expected = strings.select(col("s"), col("s").isNull as "is_null",
+      octet_length(col("s")) as "bytes")
+    Oracle.assertEquivalent(expected, "SELECT s, s IS NULL AS is_null, strlen(s) AS bytes FROM t",
+      "t" -> strings)
+  }
+
+  test("count(*) on a loaded table equals the DataFrame's count") {
+    val n = lineitem.count()
+    Oracle.assertEquivalent(spark.range(1).select(lit(n) as "n"),
+      "SELECT count(*) AS n FROM lineitem", "lineitem" -> lineitem)
+  }
+}

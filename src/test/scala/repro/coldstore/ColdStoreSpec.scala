@@ -1,23 +1,14 @@
 package repro.coldstore
 
-import java.nio.file.Files
-
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{ColdStoreFixture, Oracle, SparkSpec}
+import repro.ColdStoreFixture.NFiles
 import repro.core.Queries
 
 class ColdStoreSpec extends SparkSpec {
 
-  // Enough files that Q1's 95 % cutoff leaves at least one whole file beyond
-  // it (file granularity at SF 0.01 stands in for the paper's 320 files).
-  private val NFiles = 32
-
-  private lazy val dir: String = {
-    val d = Files.createTempDirectory("coldstore-spec").toString + "/lineitem"
-    ColdStore.write(SynthData.lineitem(spark, sf = 0.01), d, NFiles)
-    d
-  }
+  private lazy val dir: String = ColdStoreFixture.dir(this)
 
   private lazy val stats = ColdStore.catalog(dir)
 

@@ -1,17 +1,10 @@
 package repro.sched
 
-import java.nio.file.Files
-
-import repro.{SparkSpec, SynthData}
-import repro.coldstore.ColdStore
+import repro.{ColdStoreFixture, SparkSpec}
 
 class TaskMetricsSpec extends SparkSpec {
 
-  private lazy val dir: String = {
-    val d = Files.createTempDirectory("taskmetrics").toString + "/lineitem"
-    ColdStore.write(SynthData.lineitem(spark, sf = 0.01), d, nFiles = 8)
-    d
-  }
+  private lazy val dir: String = ColdStoreFixture.dir(this)
 
   test("collect returns a record per executed task with positive durations") {
     val records = TaskMetrics.collect(spark) {
