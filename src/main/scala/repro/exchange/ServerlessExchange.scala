@@ -28,7 +28,7 @@ final case class ExchangeResult(data: Vector[Array[Long]], requests: RequestCoun
 object ServerlessExchange {
 
   /** Hash partitioning of a record key onto P partitions. */
-  def partitionOf(key: Long, p: Int): Int = (((key % p) + p) % p).toInt
+  def partitionOf(key: Long, p: Int): Int = Math.floorMod(key, p.toLong).toInt
 
   /** Run a k-level exchange. `input(w)` is worker w's local records; the
     * result's `data(w)` holds every record whose partition is w.
@@ -55,6 +55,7 @@ object ServerlessExchange {
     require(p >= 1, "need at least one worker")
     require(numBuckets >= 1, "need at least one bucket")
     val grid = Grid(p, levels)
+    val bucketName = Array.tabulate(numBuckets)(b => s"b$b")
 
     val pool = Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors)
     try {
@@ -63,18 +64,19 @@ object ServerlessExchange {
         val d = round - 1
         val s = grid.radices(d)
         def groupOf(id: Int): Int = grid.withCoord(id, d, 0) // canonical representative
+        val coordOf = Array.tabulate(p)(grid.coord(_, d))
 
         // ---- write phase -----------------------------------------------
         inParallel(pool, p) { w =>
-          val (sorted, offsets) = sortByDest(state(w), s)(rec => grid.coord(partitionOf(rec, p), d))
+          val (sorted, offsets) = sortByDest(state(w), s)(rec => coordOf(partitionOf(rec, p)))
           val gid = groupOf(w)
           if (writeCombining) {
             val name = s"r$round/g$gid/snd-$w-off-${offsets.mkString("_")}"
-            s3.put(s"b${gid % numBuckets}", name, sorted)
+            s3.put(bucketName(gid % numBuckets), name, sorted)
           } else {
             for (v <- 0 until s) {
               val receiver = grid.withCoord(gid, d, v)
-              s3.put(s"b${receiver % numBuckets}", s"r$round/snd-$w/rcv-$receiver",
+              s3.put(bucketName(receiver % numBuckets), s"r$round/snd-$w/rcv-$receiver",
                 Arrays.copyOfRange(sorted, offsets(v), offsets(v + 1)))
             }
           }
@@ -82,26 +84,29 @@ object ServerlessExchange {
 
         // ---- read phase ------------------------------------------------
         // Offset vectors are encoded in object names; every receiver in a
-        // group parses the same names, so cache the parse (a pure local
-        // computation — request counts are unaffected).
+        // group parses the same names, so parse and check each name once (a
+        // pure local computation — request counts are unaffected).
         val offsetCache = new ConcurrentHashMap[String, Array[Int]]
+        def offsetsIn(name: String): Array[Int] = {
+          val sender = name.substring(name.indexOf("snd-") + 4, name.indexOf("-off-")).toInt
+          require(sender >= 0 && sender < p, s"bad sender in $name")
+          name.substring(name.indexOf("-off-") + 5).split('_').map(_.toInt)
+        }
         state = inParallel(pool, p) { w =>
           val gid = groupOf(w)
-          val myCoord = grid.coord(w, d)
+          val myCoord = coordOf(w)
           if (writeCombining) {
-            val names = s3.list(s"b${gid % numBuckets}", s"r$round/g$gid/snd-")
+            val bucket = bucketName(gid % numBuckets)
+            val names  = s3.list(bucket, s"r$round/g$gid/snd-")
             concat(names.map { name =>
-              val off = offsetCache.computeIfAbsent(name,
-                _ => name.substring(name.indexOf("-off-") + 5).split('_').map(_.toInt))
-              val sender = name.substring(name.indexOf("snd-") + 4, name.indexOf("-off-")).toInt
-              require(sender >= 0 && sender < p, s"bad sender in $name")
-              s3.getRange(s"b${gid % numBuckets}", name, off(myCoord), off(myCoord + 1))
+              val off = offsetCache.computeIfAbsent(name, offsetsIn)
+              s3.getRange(bucket, name, off(myCoord), off(myCoord + 1))
                 .getOrElse(Array.empty[Long])
             })
           } else {
             concat((0 until s).map { v =>
               val sender = grid.withCoord(gid, d, v)
-              s3.get(s"b${w % numBuckets}", s"r$round/snd-$sender/rcv-$w")
+              s3.get(bucketName(w % numBuckets), s"r$round/snd-$sender/rcv-$w")
                 .getOrElse(throw new IllegalStateException(s"missing file from $sender to $w"))
             })
           }
@@ -123,19 +128,20 @@ object ServerlessExchange {
 
   /** Stable counting sort of `recs` by `dest(rec)` in [0, s): the sorted
     * records, and the s + 1 offsets at which each destination's run starts
-    * (the last is `recs.length`).
+    * (the last is `recs.length`). `dest` is called once per record.
     */
   private def sortByDest(recs: Array[Long], s: Int)(dest: Long => Int): (Array[Long], Array[Int]) = {
+    val dests   = new Array[Int](recs.length)
     val offsets = new Array[Int](s + 1)
     var i = 0
-    while (i < recs.length) { offsets(dest(recs(i)) + 1) += 1; i += 1 }
+    while (i < recs.length) { dests(i) = dest(recs(i)); offsets(dests(i) + 1) += 1; i += 1 }
     var d = 0
     while (d < s) { offsets(d + 1) += offsets(d); d += 1 }
     val next   = Arrays.copyOf(offsets, s)
     val sorted = new Array[Long](recs.length)
     i = 0
     while (i < recs.length) {
-      val d = dest(recs(i))
+      val d = dests(i)
       sorted(next(d)) = recs(i)
       next(d) += 1
       i += 1

@@ -26,6 +26,32 @@ class MemS3Spec extends AnyFunSuite {
     assert(s3.getRange("b", "k", 0, 0).get.isEmpty)
   }
 
+  test("ranged get clamps to the object: a tail past the end, nothing when from >= until") {
+    val s3 = new MemS3
+    s3.put("b", "k", Array.tabulate(10)(_.toLong))
+    assert(s3.getRange("b", "k", 7, 25).get.toSeq == Seq(7L, 8L, 9L))
+    assert(s3.getRange("b", "k", 6, 6).get.isEmpty)
+    assert(s3.getRange("b", "k", 8, 3).get.isEmpty)
+    assert(s3.getRange("b", "k", 12, 20).get.isEmpty)
+    assert(s3.getCount.get == 4)
+  }
+
+  test("ranged get of a missing object returns None but still costs one GET") {
+    val s3 = new MemS3
+    s3.put("b", "k", Array(1L))
+    assert(s3.getRange("b", "nope", 0, 1).isEmpty)
+    assert(s3.getCount.get == 1)
+  }
+
+  test("reads of a bucket never written count one request each and create no bucket") {
+    val s3 = new MemS3
+    assert(s3.get("nope", "k").isEmpty)
+    assert(s3.list("nope", "").isEmpty)
+    assert(s3.getRange("nope", "k", 0, 1).isEmpty)
+    assert(s3.getCount.get == 2 && s3.listCount.get == 1)
+    assert(s3.bucketNames.isEmpty && s3.objectCount == 0)
+  }
+
   test("list filters by prefix and returns sorted names") {
     val s3 = new MemS3
     s3.put("b", "r1/snd-2", Array(1L))

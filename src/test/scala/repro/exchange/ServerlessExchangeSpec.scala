@@ -155,6 +155,42 @@ class ServerlessExchangeSpec extends AnyFunSuite with PropSpec {
     }
   }
 
+  // ---- output pinned across changes ----------------------------------------
+
+  /** Order-sensitive fingerprint of every worker's output, lengths included. */
+  private def fingerprint(data: Vector[Array[Long]]): Long = {
+    var h = 17L
+    for (a <- data) { h = h * 1000003L + a.length; for (x <- a) h = h * 1000003L + x }
+    h
+  }
+
+  /** Fixed values, not recomputed: a change that reorders any worker's
+    * output moves them, even when each run repeats itself.
+    */
+  private val pinned: Map[(Int, String), (Long, RequestCounts)] = Map(
+    (16, "1l")    -> (-3595124476937851509L, RequestCounts(256, 256, 0)),
+    (16, "1l-wc") -> (-5487312246315680885L, RequestCounts(256, 16, 16)),
+    (16, "2l")    -> (-3454559354108350581L, RequestCounts(128, 128, 0)),
+    (16, "2l-wc") -> (-4732818390470920789L, RequestCounts(128, 32, 32)),
+    (16, "3l")    -> (-211228503427679477L, RequestCounts(128, 128, 0)),
+    (16, "3l-wc") -> (-2230628288788274229L, RequestCounts(128, 48, 48)),
+    (64, "1l")    -> (-7453395789004235167L, RequestCounts(4096, 4096, 0)),
+    (64, "1l-wc") -> (2299234330439154529L, RequestCounts(4096, 64, 64)),
+    (64, "2l")    -> (4119919584654562785L, RequestCounts(1024, 1024, 0)),
+    (64, "2l-wc") -> (-2289966800394443679L, RequestCounts(1024, 128, 128)),
+    (64, "3l")    -> (9064585876215530209L, RequestCounts(768, 768, 0)),
+    (64, "3l-wc") -> (8790393546647750113L, RequestCounts(768, 192, 192)),
+  )
+
+  test("every variant's output order and request counts match the pinned values at P=16 and 64") {
+    for (p <- Seq(16, 64); algo <- ExchangeModel.Algorithms) {
+      val rng   = new scala.util.Random(p.toLong)
+      val input = Vector.fill(p)(Array.fill(rng.nextInt(40))(rng.nextLong())) // 0-39 records each
+      val res   = ServerlessExchange.run(input, algo.levels, algo.writeCombining)
+      assert((fingerprint(res.data), res.requests) == pinned((p, algo.label)), s"${algo.label} at P=$p")
+    }
+  }
+
   // ---- properties --------------------------------------------------------
 
   checkProp("any square P, any records: 2l +- wc equals direct placement") {
@@ -185,6 +221,16 @@ class ServerlessExchangeSpec extends AnyFunSuite with PropSpec {
       res.data.map(_.sorted.toVector) == ServerlessExchange.expectedPlacement(input, p) &&
         res.requests == RequestCounts(ExchangeModel.reads(algo, p), ExchangeModel.writes(algo, p),
           ExchangeModel.lists(algo, p))
+    }
+  }
+
+  checkProp("partitionOf equals the two-remainder formula for any key and any p in [1, 5000]",
+      minSuccessful = 500) {
+    val key = Gen.frequency(
+      9 -> Gen.choose(Long.MinValue, Long.MaxValue),
+      1 -> Gen.oneOf(Long.MinValue, Long.MaxValue, -1L, 0L))
+    Prop.forAll(key, Gen.choose(1, 5000)) { (k, p) =>
+      ServerlessExchange.partitionOf(k, p) == (((k % p) + p) % p).toInt
     }
   }
 
