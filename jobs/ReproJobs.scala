@@ -82,17 +82,16 @@ object Fig12Job {
   }
 }
 
-/** Prints every model-based artifact in one go. */
+/** Prints every model-based artifact in one go, each under a `### <id>`
+  * line: the format of `src/test/resources/contract/tables.txt`. UTF-8
+  * whatever the host's locale, so a title's dash survives.
+  */
 object AllTablesJob {
   def main(args: Array[String]): Unit = {
-    Seq(
-      Tables.renderFig1a, Tables.renderFig1b, Tables.renderFig4, Tables.renderTable1,
-      Tables.renderFig5, Tables.renderFig6, Tables.renderFig7, Tables.renderTable2(64),
-      Tables.renderFig9, Tables.renderTable3, Tables.renderFig13,
-      Tables.renderFig10(Tables.fig10Rows()),
-      Tables.renderFig11(Seq(
-        Tables.fig11Data(Queries.Q1Profile), Tables.fig11Data(Queries.Q6Profile))),
-      Tables.renderFig12(Tables.fig12Rows()),
-    ).foreach { t => println(t); println() }
+    val out = new java.io.PrintStream(new java.io.FileOutputStream(java.io.FileDescriptor.out),
+      true, "UTF-8")
+    Tables.all.foreach { case (id, table) =>
+      out.println(s"### $id"); out.println(table); out.println()
+    }
   }
 }

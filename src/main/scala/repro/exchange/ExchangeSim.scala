@@ -3,24 +3,24 @@ package repro.exchange
 import repro.invoke.Invoker
 import repro.model.{LambdaModel, Pricing, S3Model}
 
-/** Wall-clock outcome of one simulated distributed exchange. Per-phase
-  * vectors are indexed by worker and feed the Fig 13 breakdown.
+/** Wall-clock outcome of one simulated distributed exchange. Per-round
+  * vectors (round, then worker) feed Fig 13; `readSeconds(0)` is the input read.
   */
 final case class ExchangeRun(
-    system: String,
-    workers: Int,
-    dataBytes: Double,
     totalSeconds: Double,
     fastestWorkerSeconds: Double,
-    phaseFastest: Map[String, Double],
-    writeSeconds1: Vector[Double],
-    writeSeconds2: Vector[Double],
-    waitSeconds1: Vector[Double],
-    waitSeconds2: Vector[Double],
+    writeSeconds: Vector[Vector[Double]],
+    waitSeconds: Vector[Vector[Double]],
+    readSeconds: Vector[Vector[Double]],
 ) {
   private def median(v: Vector[Double]): Double = { val s = v.sorted; s(s.size / 2) }
   /** Slowest-to-median ratio of the first write phase (Fig 13 right side). */
-  def writeTailRatio: Double = writeSeconds1.max / median(writeSeconds1)
+  def writeTailRatio: Double = writeSeconds(0).max / median(writeSeconds(0))
+  /** Fastest observation of each phase (a wait lasts at least one S3 round-trip). */
+  def phaseFastest: Map[String, Double] = (("read-input" -> readSeconds(0).min) +:
+    writeSeconds.indices.flatMap(r => Seq(s"write-${r + 1}" -> writeSeconds(r).min,
+      s"wait-${r + 1}" -> math.max(waitSeconds(r).min, S3Model.RequestLatencySeconds),
+      s"read-${r + 1}" -> readSeconds(r + 1).min))).toMap
   /** Sum of the fastest observation of each phase — Fig 13's informal lower
     * bound on the end-to-end latency.
     */
@@ -69,56 +69,42 @@ object ExchangeSim {
 
   private def expDraw(rng: scala.util.Random): Double = -math.log(1.0 - rng.nextDouble())
 
-  /** Lambada's TwoLevelExchange on `p` workers over `dataBytes`. */
+  /** Lambada's TwoLevelExchange on `p` workers over `dataBytes`, round by round. */
   def lambadaTwoLevel(p: Int, dataBytes: Double, seed: Long = 7L): ExchangeRun = {
     require(p >= 4, "exchange needs at least 4 workers")
-    val grid  = Grid(p, 2)
-    val phase = dataBytes / p / PerWorkerBytesPerSecond
-    val r     = demandRatio(p)
-    val theta = JitterBase + JitterContention * math.max(0.0, r - 1.0)
-    val coord = CoordSecondsPerWorker * p
+    val levels = 2
+    val grid   = Grid(p, levels)
+    val phase  = dataBytes / p / PerWorkerBytesPerSecond
+    val theta  = JitterBase + JitterContention * math.max(0.0, demandRatio(p) - 1.0)
+    val coord  = CoordSecondsPerWorker * p
 
-    val rng     = new scala.util.Random(seed)
-    val readJ   = Vector.fill(p, 3)(1.0 + ReadJitter * expDraw(rng))
-    val writeJ1 = Vector.fill(p)(1.0 + theta * expDraw(rng))
-    val writeJ2 = Vector.fill(p)(1.0 + theta * expDraw(rng))
+    // Every Table 3 and Fig 13 number depends on this draw order: each
+    // worker's levels + 1 reads, then each round's p writes.
+    val rng   = new scala.util.Random(seed)
+    val read  = Vector.fill(p, levels + 1)(phase * (1.0 + ReadJitter * expDraw(rng))).transpose
+    val write = Vector.fill(levels, p)(phase * (1.0 + theta * expDraw(rng)))
 
     val starts = Invoker.timeline(p, LambdaModel.Eu, cold = false).workers
       .sortBy(_.id).map(_.runningAt)
 
-    def group(d: Int)(i: Int): Int = grid.withCoord(i, d, 0) // round d + 1's barrier group
-
-    val readDone  = Vector.tabulate(p)(i => starts(i) + phase * readJ(i)(0))
-    val w1        = Vector.tabulate(p)(i => phase * writeJ1(i))
-    val w1Done    = Vector.tabulate(p)(i => readDone(i) + w1(i))
-    val g1Max     = (0 until p).groupMapReduce(group(0))(w1Done)(math.max)
-    val wait1     = Vector.tabulate(p)(i => g1Max(group(0)(i)) + coord - w1Done(i))
-    val r1Done    = Vector.tabulate(p)(i => w1Done(i) + wait1(i) + phase * readJ(i)(1))
-    val w2        = Vector.tabulate(p)(i => phase * writeJ2(i))
-    val w2Done    = Vector.tabulate(p)(i => r1Done(i) + w2(i))
-    val g2Max     = (0 until p).groupMapReduce(group(1))(w2Done)(math.max)
-    val wait2     = Vector.tabulate(p)(i => g2Max(group(1)(i)) + coord - w2Done(i))
-    val done      = Vector.tabulate(p)(i => w2Done(i) + wait2(i) + phase * readJ(i)(2))
+    // Round d: write, wait for the slowest writer of the barrier group (the
+    // workers that differ only in coordinate d) plus coordination, then read.
+    val inputRead = Vector.tabulate(p)(i => starts(i) + read(0)(i))
+    val (wait, done) = (0 until levels).foldLeft((Vector.empty[Vector[Double]], inputRead)) {
+      case ((waits, readDone), d) =>
+        def group(i: Int): Int = grid.withCoord(i, d, 0)
+        val wDone = Vector.tabulate(p)(i => readDone(i) + write(d)(i))
+        val gMax  = (0 until p).groupMapReduce(group)(wDone)(math.max)
+        val wt    = Vector.tabulate(p)(i => gMax(group(i)) + coord - wDone(i))
+        (waits :+ wt, Vector.tabulate(p)(i => wDone(i) + wt(i) + read(d + 1)(i)))
+    }
 
     ExchangeRun(
-      system = "lambada-2l",
-      workers = p,
-      dataBytes = dataBytes,
       totalSeconds = done.max + CollectSeconds,
       fastestWorkerSeconds = Vector.tabulate(p)(i => done(i) - starts(i)).min,
-      phaseFastest = Map(
-        "read-input" -> (0 until p).map(i => phase * readJ(i)(0)).min,
-        "write-1"    -> w1.min,
-        "wait-1"     -> math.max(wait1.min, S3Model.RequestLatencySeconds),
-        "read-1"     -> (0 until p).map(i => phase * readJ(i)(1)).min,
-        "write-2"    -> w2.min,
-        "wait-2"     -> math.max(wait2.min, S3Model.RequestLatencySeconds),
-        "read-2"     -> (0 until p).map(i => phase * readJ(i)(2)).min,
-      ),
-      writeSeconds1 = w1,
-      writeSeconds2 = w2,
-      waitSeconds1 = wait1,
-      waitSeconds2 = wait2,
+      writeSeconds = write,
+      waitSeconds = wait,
+      readSeconds = read,
     )
   }
 

@@ -15,21 +15,21 @@ final class IdPartitioner(val numPartitions: Int) extends Partitioner {
   override def hashCode(): Int = numPartitions
 }
 
-/** The paper's TwoLevelExchange (Algorithm 2) executed as *real* data
+/** The paper's k-level exchange (Algorithms 1-2) executed as *real* data
   * movement inside Spark. The contribution is a physical exchange operator,
-  * so this sits at the physical (RDD partitioning) layer: on the two-level
-  * [[Grid]] of P, round 1 routes each record within its grid column to fix
-  * the first coordinate of its target partition, round 2 within its grid row
-  * to fix the second — after two rounds every record resides in exactly the
-  * partition a direct hash exchange would have chosen, while round i only
-  * communicates within groups of s_i workers (the grid's radices).
+  * so this sits at the physical (RDD partitioning) layer: on the k-level
+  * [[Grid]] of P, round r routes each record within its group of s_r
+  * workers (the grid's radices) to fix dimension r - 1 of its target
+  * partition. After k rounds every record resides in exactly the partition
+  * a direct hash exchange would have chosen; the direct exchange is the
+  * k = 1 case.
   */
 object SparkExchange {
 
-  /** Target partition of a key: the hash partitioning both routes agree on. */
+  /** Target partition of a key: the hash partitioning every route agrees on. */
   def targetPartition(key: Long, p: Int): Int = ServerlessExchange.partitionOf(key, p)
 
-  private def route(df: DataFrame, p: Int)(pidOf: (Int, Long) => Int): DataFrame = {
+  private def route(p: Int)(df: DataFrame, pidOf: (Int, Long) => Int): DataFrame = {
     val spark  = df.sparkSession
     val schema = df.schema
     val keyIdx = schema.fieldIndex("k")
@@ -42,24 +42,24 @@ object SparkExchange {
     spark.createDataFrame(routed, schema)
   }
 
-  /** Direct (single-round) hash exchange: the correctness reference. */
-  def direct(df: DataFrame, p: Int): DataFrame =
-    route(df.repartition(p), p)((_, key) => targetPartition(key, p))
-
-  /** Per round of the two-level grid, the partition a record moves to: its
-    * own, with that round's coordinate replaced by its target's.
+  /** Per round of the `levels`-level grid, the partition a record moves to:
+    * its own, with that round's coordinate replaced by its target's.
     */
-  private def gridRounds(p: Int): Seq[(Int, Long) => Int] = {
-    val grid = Grid(p, 2)
-    Seq(0, 1).map(d => (pid: Int, key: Long) =>
+  private def rounds(p: Int, levels: Int): Seq[(Int, Long) => Int] = {
+    val grid = Grid(p, levels)
+    (0 until levels).map(d => (pid: Int, key: Long) =>
       grid.withCoord(pid, d, grid.coord(targetPartition(key, p), d)))
   }
 
-  /** Two-level grid exchange, at any P. */
-  def twoLevel(df: DataFrame, p: Int): DataFrame =
-    gridRounds(p).foldLeft(df.repartition(p))((routed, pidOf) => route(routed, p)(pidOf))
+  /** The `levels`-level grid exchange, at any P. */
+  def exchange(df: DataFrame, p: Int, levels: Int): DataFrame =
+    rounds(p, levels).foldLeft(df.repartition(p))(route(p))
 
-  /** Per-partition histogram of target partitions — empty iff every record
+  /** The one- and two-level cases, kept for the benchmark's callers. */
+  def direct(df: DataFrame, p: Int): DataFrame   = exchange(df, p, 1)
+  def twoLevel(df: DataFrame, p: Int): DataFrame = exchange(df, p, 2)
+
+  /** Number of records off their target partition — 0 iff every record
     * already sits on its target (used to assert exchange correctness).
     */
   def misplacedCount(df: DataFrame, p: Int): Long = {
@@ -69,26 +69,24 @@ object SparkExchange {
     }.sum().toLong
   }
 
-  /** Number of (sender partition, receiver) pairs with data in one routing
-    * round — the analogue of the files (requests) a serverless exchange
-    * round creates. For the two-level exchange round i's count is bounded
-    * by P * s_i (Table 2).
+  /** Per round of the `levels`-level exchange, the number of (sender
+    * partition, receiver) pairs with data — the analogue of the files
+    * (requests) a serverless exchange round creates, bounded by P * s_r
+    * (Table 2). Nothing is routed after the last round.
     */
-  def roundFileCount(df: DataFrame, p: Int)(pidOf: (Int, Long) => Int): Long = {
-    val keyIdx = df.schema.fieldIndex("k")
-    df.rdd.mapPartitionsWithIndex { (pid, it) =>
-      Iterator.single(it.map(row => pidOf(pid, row.getLong(keyIdx))).toSet.size.toLong)
-    }.sum().toLong
+  def roundFiles(df: DataFrame, p: Int, levels: Int): Seq[Long] = {
+    val rs = rounds(p, levels)
+    rs.init.scanLeft(df.repartition(p))(route(p)).zip(rs).map { case (in, pidOf) =>
+      val keyIdx = in.schema.fieldIndex("k")
+      in.rdd.mapPartitionsWithIndex { (pid, it) =>
+        Iterator.single(it.map(row => pidOf(pid, row.getLong(keyIdx))).toSet.size.toLong)
+      }.sum().toLong
+    }
   }
 
-  /** File counts of the two rounds of the grid route (after a repartition
-    * to p partitions), for comparison against the Table 2 bounds.
-    */
-  def twoLevelRoundFiles(df: DataFrame, p: Int): (Long, Long) = {
-    val Seq(round1, round2) = gridRounds(p)
-    val base = df.repartition(p)
-    (roundFileCount(base, p)(round1), roundFileCount(route(base, p)(round1), p)(round2))
-  }
+  /** `roundFiles` at two levels as a pair, kept for the benchmark's caller. */
+  def twoLevelRoundFiles(df: DataFrame, p: Int): (Long, Long) =
+    roundFiles(df, p, 2) match { case Seq(r1, r2) => (r1, r2) }
 
   /** Aggregate `sum(v) group by k` *without any further shuffle*, relying on
     * the exchange having co-located all rows of a key: each partition

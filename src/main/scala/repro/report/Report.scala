@@ -16,10 +16,11 @@ object Report {
     (s"== $title ==" +: line(headers) +: sep +: rows.map(line)).mkString("\n")
   }
 
-  def f1(x: Double): String  = f"$x%.1f"
-  def f2(x: Double): String  = f"$x%.2f"
-  def f3(x: Double): String  = f"$x%.3f"
-  def f4(x: Double): String  = f"$x%.4f"
-  def usd(x: Double): String = if (x >= 0.01) f"$$$x%.3f" else f"$$$x%.5f"
-  def pct(x: Double): String = f"${x * 100}%.1f%%"
+  // Locale.ROOT: a '.' decimal point whatever the JVM's default locale.
+  def f1(x: Double): String  = "%.1f".formatLocal(java.util.Locale.ROOT, x)
+  def f2(x: Double): String  = "%.2f".formatLocal(java.util.Locale.ROOT, x)
+  def f3(x: Double): String  = "%.3f".formatLocal(java.util.Locale.ROOT, x)
+  def f4(x: Double): String  = "%.4f".formatLocal(java.util.Locale.ROOT, x)
+  def usd(x: Double): String = (if (x >= 0.01) "$%.3f" else "$%.5f").formatLocal(java.util.Locale.ROOT, x)
+  def pct(x: Double): String = "%.1f%%".formatLocal(java.util.Locale.ROOT, x * 100)
 }

@@ -358,4 +358,17 @@ object Tables {
       "q/h" +: keys,
       rows.map(r => Report.f1(r.queriesPerHour) +: keys.map(k => Report.usd(r.costs(k)))))
   }
+
+  /** The behavioural contract: artifact id -> rendered table, for every
+    * artifact that needs no SparkSession. `AllTablesJob` prints it and
+    * `ContractSpec` pins it.
+    */
+  def all: Seq[(String, String)] = Seq(
+    "fig1a" -> renderFig1a, "fig1b" -> renderFig1b, "fig4" -> renderFig4,
+    "table1" -> renderTable1, "fig5" -> renderFig5, "fig6" -> renderFig6, "fig7" -> renderFig7,
+    "table2-p64" -> renderTable2(64), "table2-p729" -> renderTable2(729), "fig9" -> renderFig9,
+    "table3" -> renderTable3, "fig13" -> renderFig13, "fig10" -> renderFig10(fig10Rows()),
+    "fig11" -> renderFig11(Seq(fig11Data(Queries.Q1Profile), fig11Data(Queries.Q6Profile))),
+    "fig12" -> renderFig12(fig12Rows()),
+  )
 }

@@ -114,6 +114,66 @@ class ExchangeSimSpec extends AnyFunSuite {
     assert(a.totalSeconds != c.totalSeconds)
   }
 
+  private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+  /** Order-sensitive hash of a per-worker vector. */
+  private def hash(v: Vector[Double]): Long = v.foldLeft(0L)((h, x) => h * 31 + bits(x))
+
+  /** Raw bits of the Table 3 and Fig 13 runs, taken from the sim with its two
+    * rounds written out by hand: total, fastest worker, lower bound and write
+    * tail; the fastest of each phase in `PhaseKeys` order; hashes of each
+    * round's write and wait vector.
+    */
+  private final case class Pin(p: Int, bytes: Double, scalars: Seq[Long], phases: Seq[Long],
+                               writes: Seq[Long], waits: Seq[Long])
+  private val PhaseKeys =
+    Seq("read-1", "read-2", "read-input", "wait-1", "wait-2", "write-1", "write-2")
+  private val pins = Seq(
+    Pin(250, gb100,
+      Seq(0x40389c14f668ceb8L, 0x403776cd77c7020aL, 0x4036b1f582678bf8L, 0x3ff25009c38f96f3L),
+      Seq(0x4010f447664bb88cL, 0x4010f47fa78e66e8L, 0x4010f48360a82631L, 0x3fe8000000000000L,
+        0x3fe8000000000000L, 0x4010f4844d6e40a8L, 0x4010f6074dada994L),
+      writes = Seq(0x478f433949b97865L, 0x554fd1fe8a884f53L),
+      waits = Seq(0x1e7e4ecc2ffbf668L, 0x9b29dce5d27e0f80L)),
+    Pin(500, gb100,
+      Seq(0x402e4266e212d88dL, 0x402c0076e04c1264L, 0x402b3189033acbe5L, 0x3ff29f5420d8131fL),
+      Seq(0x4000f447664bb88cL, 0x4000f47fa78e66e8L, 0x4000f48360a82631L, 0x3ff8000000000000L,
+        0x3ff8000000000000L, 0x4000f450b2e785d1L, 0x4000f488eb81641fL),
+      writes = Seq(0xd22ad473fb0354aaL, 0x9858406a39d7402fL),
+      waits = Seq(0x39eb4dcd9efa2f7cL, 0xa98518188c1020b4L)),
+    Pin(1000, gb100,
+      Seq(0x40295c3a75192871L, 0x40270497be76a482L, 0x402698bf2a9f893eL, 0x3ff448a94ff6898dL),
+      Seq(0x3ff0f447664bb88cL, 0x3ff0f44b226f4417L, 0x3ff0f46528aad52cL, 0x4007ffffffffffffL,
+        0x4008000000000000L, 0x3ff0f476b1d8bb3fL, 0x3ff0f48af1bdbcdfL),
+      writes = Seq(0xe0749a251c7b9c70L, 0x70bf597c28a8d9c0L),
+      waits = Seq(0x43272578019fb0c5L, 0x907f27e328a4a2f8L)),
+    Pin(1250, Pricing.TB,
+      Seq(0x404c8e407da37adeL, 0x404acf303661c14bL, 0x4048f18dd4a7a649L, 0x3ff58c62e79b98e2L),
+      Seq(0x4020f447664bb88cL, 0x4020f44b226f4417L, 0x4020f46528aad52cL, 0x400e000000000000L,
+        0x400e000000000000L, 0x4020f49c9816fd40L, 0x4020f4a30921ca15L),
+      writes = Seq(0x4a2526a745d0106cL, 0x40a4ce404217cb86L),
+      waits = Seq(0x63132f4383def8bcL, 0x5d808a10dbeb88ccL)),
+    Pin(2500, 3 * Pricing.TB,
+      Seq(0x40649d68d3f42a8aL, 0x405fc72f39c58a0bL, 0x4053a512aaabf32aL, 0x400d2b4498fbb45dL),
+      Seq(0x40296e6b197194d3L, 0x40296e70b3a6e624L, 0x40296e82755e24bdL, 0x401dfffffffffff8L,
+        0x401e000000000000L, 0x40296e832aade868L, 0x40296eb3e83b1138L),
+      writes = Seq(0x67f77f54b15a004aL, 0xcd911d519f1a90ecL),
+      waits = Seq(0x0a44169c6d884ea6L, 0x716a10a73e0be857L)),
+  )
+
+  test("the round loop reproduces the pinned two-round runs bit for bit (Table 3, Fig 13)") {
+    for (pin <- pins) {
+      val run = ExchangeSim.lambadaTwoLevel(pin.p, pin.bytes)
+      val scalars = Seq(run.totalSeconds, run.fastestWorkerSeconds, run.lowerBoundSeconds,
+        run.writeTailRatio)
+      assert(scalars.map(bits) == pin.scalars, s"P=${pin.p}")
+      assert(run.phaseFastest.keys.toSeq.sorted == PhaseKeys, s"P=${pin.p}")
+      assert(PhaseKeys.map(k => bits(run.phaseFastest(k))) == pin.phases, s"P=${pin.p}")
+      assert(run.writeSeconds.map(hash) == pin.writes, s"P=${pin.p}")
+      assert(run.waitSeconds.map(hash) == pin.waits, s"P=${pin.p}")
+      assert(run.readSeconds.map(_.size) == Seq(pin.p, pin.p, pin.p), s"P=${pin.p}")
+    }
+  }
+
   test("tiny fleets are rejected") {
     intercept[IllegalArgumentException](ExchangeSim.lambadaTwoLevel(2, gb100))
   }

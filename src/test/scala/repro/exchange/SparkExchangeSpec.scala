@@ -13,12 +13,18 @@ class SparkExchangeSpec extends SparkSpec {
     .withColumn("v", (col("v") * 1000).cast("long").cast("double"))
     .cache()
 
+  /** One exchange per route at P, shared by the tests below: each action
+    * reuses its shuffle outputs instead of routing the data again.
+    */
+  private lazy val direct   = SparkExchange.direct(data, P)
+  private lazy val twoLevel = SparkExchange.twoLevel(data, P)
+
   test("the direct hash exchange places every record on its target partition") {
-    assert(SparkExchange.misplacedCount(SparkExchange.direct(data, P), P) == 0)
+    assert(SparkExchange.misplacedCount(direct, P) == 0)
   }
 
   test("the two-level grid exchange reaches the same placement as the direct one") {
-    assert(SparkExchange.misplacedCount(SparkExchange.twoLevel(data, P), P) == 0)
+    assert(SparkExchange.misplacedCount(twoLevel, P) == 0)
   }
 
   private def partitionContents(df: org.apache.spark.sql.DataFrame): Map[Int, Seq[(Long, Double)]] =
@@ -27,15 +33,12 @@ class SparkExchangeSpec extends SparkSpec {
     }.collect().toMap
 
   test("two-level and direct exchanges agree partition by partition") {
-    val a = partitionContents(SparkExchange.direct(data, P))
-    val b = partitionContents(SparkExchange.twoLevel(data, P))
-    assert(a == b)
+    assert(partitionContents(direct) == partitionContents(twoLevel))
   }
 
   test("no records are lost or duplicated by the grid route") {
-    val exchanged = SparkExchange.twoLevel(data, P)
-    assert(exchanged.count() == data.count())
-    val sums = exchanged.agg(sum("v")).head.getDouble(0)
+    assert(twoLevel.count() == data.count())
+    val sums = twoLevel.agg(sum("v")).head.getDouble(0)
     assert(sums == data.agg(sum("v")).head.getDouble(0))
   }
 
@@ -48,8 +51,7 @@ class SparkExchangeSpec extends SparkSpec {
   }
 
   test("shuffle-free aggregation over the exchanged data matches DuckDB") {
-    val exchanged = SparkExchange.twoLevel(data, P)
-    val aggregated = SparkExchange.localAggregate(spark, exchanged)
+    val aggregated = SparkExchange.localAggregate(spark, twoLevel)
       .select(col("k"), round(col("sum_v"), 4) as "sum_v")
     Oracle.assertEquivalent(
       aggregated,
@@ -59,8 +61,7 @@ class SparkExchangeSpec extends SparkSpec {
   }
 
   test("every key lands in exactly one partition after the exchange") {
-    val exchanged = SparkExchange.twoLevel(data, P)
-    val keyPartitions = exchanged.rdd.mapPartitionsWithIndex { (pid, it) =>
+    val keyPartitions = twoLevel.rdd.mapPartitionsWithIndex { (pid, it) =>
       it.map(r => (r.getLong(0), pid))
     }.distinct().countByKey()
     assert(keyPartitions.values.forall(_ == 1L))
@@ -74,11 +75,30 @@ class SparkExchangeSpec extends SparkSpec {
     assert(exchanged.count() == 3000)
   }
 
+  /** Each partition's rows as placed on the driver by `targetPartition`:
+    * the reference, independent of every Spark route.
+    */
+  private def hashPlacement(p: Int): Map[Int, Seq[(Long, Double)]] = {
+    val byTarget = inputRows.groupBy { case (k, _) => SparkExchange.targetPartition(k, p) }
+    (0 until p).map(pid => pid -> byTarget.getOrElse(pid, Seq.empty).sorted).toMap
+  }
+  private lazy val inputRows = data.collect().toSeq.map(r => (r.getLong(0), r.getDouble(1)))
+
   test("non-square and prime P route exactly as the direct exchange") {
-    for (p <- Seq(15, 13)) {
-      val exchanged = SparkExchange.twoLevel(data, p)
-      assert(SparkExchange.misplacedCount(exchanged, p) == 0, s"P=$p")
-      assert(partitionContents(exchanged) == partitionContents(SparkExchange.direct(data, p)), s"P=$p")
+    for (p <- Seq(13, 15, 16, 64); k <- 1 to 3) {
+      val (got, want) = (partitionContents(SparkExchange.exchange(data, p, k)), hashPlacement(p))
+      val wrong = (0 until p).filter(pid => got.get(pid) != want.get(pid))
+      assert(got.size == p && wrong.isEmpty, s"P=$p, k=$k: partitions $wrong hold other rows")
+      if (k > 1) { // at k = 1 the bound, P * P pairs, holds for any placement
+        val files = SparkExchange.roundFiles(data, p, k)
+        val grid  = Grid(p, k)
+        assert(files.size == k, s"P=$p, k=$k")
+        files.zipWithIndex.foreach { case (n, r) =>
+          assert(n <= p.toLong * grid.radices(r), s"P=$p, k=$k, round ${r + 1}: $n files")
+        }
+        // Pinned: both rounds of the 4 x 4 grid reach the bound of 16 * 4 pairs.
+        if (p == 16 && k == 2) assert(files == Seq(64L, 64L))
+      }
     }
   }
 
