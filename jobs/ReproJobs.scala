@@ -1,20 +1,19 @@
 package repro.jobs
 
+import java.io.{OutputStream, PrintStream}
+import java.nio.charset.StandardCharsets.UTF_8
+
 import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
 import repro.coldstore.ColdStore
-import repro.core.Queries
 import repro.report.Tables
 
-/** spark-submit entrypoints, one per reproduced table/figure.
-  *
-  * The purely model-based artifacts (Tables 1-3, Figs 1/4/5/6/7/9/13) need
-  * no SparkSession. The data-dependent artifacts (Figs 10/11/12) optionally
-  * take a scale factor argument: they then generate a real cold store with
-  * Spark, measure its Parquet layout (column-chunk sizes, min/max stats) and
-  * feed the measured layout into the simulation; with no argument they use
-  * the synthetic SF 1000 layout.
+/** Shared by the two entry points: `AllTablesJob` prints the model-based
+  * artifacts of `Tables.all`, which need no SparkSession; `Fig10Job` can
+  * first write a real cold store with Spark and feed its measured layout to
+  * the simulation. Both print each artifact under a `### <id>` line, in
+  * UTF-8 whatever the host's locale.
   */
 object JobSupport {
 
@@ -31,67 +30,48 @@ object JobSupport {
     ColdStore.write(SynthData.lineitem(spark, sf), dir, nFiles = 32)
     ColdStore.columnFractions(ColdStore.layout(dir))
   }
-}
 
-object Table1Job {
-  def main(args: Array[String]): Unit = {
-    println(Tables.renderTable1); println(); println(Tables.renderFig5)
+  /** Each artifact as a `### <id>` line, the table and a blank line, encoded
+    * as UTF-8: the format of `src/test/resources/contract/tables.txt`.
+    */
+  def print(artifacts: Seq[(String, String)], out: OutputStream): Unit = {
+    val w = new PrintStream(out, false, UTF_8)
+    artifacts.foreach { case (id, table) => w.println(s"### $id"); w.println(table); w.println() }
+    w.flush()
   }
 }
 
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    println(Tables.renderTable2(64)); println(); println(Tables.renderTable2(729))
-    println(); println(Tables.renderFig9)
+/** `AllTablesJob [id …]` prints the named artifacts of `Tables.all`, or all
+  * of them when no id is given.
+  */
+object AllTablesJob {
+
+  /** The artifacts of `all` named by `ids`, in `all`'s order; every one when
+    * `ids` is empty. An unknown id fails with the list of valid ones.
+    */
+  def select(all: Seq[(String, String)], ids: Seq[String]): Seq[(String, String)] = {
+    val valid   = all.map(_._1)
+    val unknown = ids.filterNot(valid.contains)
+    require(unknown.isEmpty,
+      s"unknown artifact ${unknown.mkString(", ")}; valid ids: ${valid.mkString(", ")}")
+    if (ids.isEmpty) all else all.filter { case (id, _) => ids.contains(id) }
   }
+
+  def main(args: Array[String]): Unit =
+    JobSupport.print(select(Tables.all, args.toSeq), System.out)
 }
 
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    println(Tables.renderTable3); println(); println(Tables.renderFig13)
-  }
-}
-
-object Fig1Job {
-  def main(args: Array[String]): Unit = {
-    println(Tables.renderFig1a); println(); println(Tables.renderFig1b)
-  }
-}
-
+/** `Fig10Job [sf]` prints Fig 10. With a scale factor it first writes a real
+  * cold store at that SF and sweeps with its measured column fractions; with
+  * none it uses the synthetic SF 1000 layout, as `AllTablesJob fig10` does.
+  */
 object Fig10Job {
   def main(args: Array[String]): Unit = {
     val fractions = args.headOption.map { sf =>
       val spark = JobSupport.localSpark("fig10")
       try JobSupport.measuredFractions(spark, sf.toDouble) finally spark.stop()
     }.getOrElse(repro.scan.ParquetLayout.LineitemColumnFractions)
-    println(Tables.renderFig10(Tables.fig10Rows(
-      repro.scan.ParquetLayout.lineitemSf1000(fractions), fractions)))
-  }
-}
-
-object Fig11Job {
-  def main(args: Array[String]): Unit = {
-    println(Tables.renderFig11(Seq(
-      Tables.fig11Data(Queries.Q1Profile), Tables.fig11Data(Queries.Q6Profile))))
-  }
-}
-
-object Fig12Job {
-  def main(args: Array[String]): Unit = {
-    println(Tables.renderFig12(Tables.fig12Rows()))
-  }
-}
-
-/** Prints every model-based artifact in one go, each under a `### <id>`
-  * line: the format of `src/test/resources/contract/tables.txt`. UTF-8
-  * whatever the host's locale, so a title's dash survives.
-  */
-object AllTablesJob {
-  def main(args: Array[String]): Unit = {
-    val out = new java.io.PrintStream(new java.io.FileOutputStream(java.io.FileDescriptor.out),
-      true, "UTF-8")
-    Tables.all.foreach { case (id, table) =>
-      out.println(s"### $id"); out.println(table); out.println()
-    }
+    JobSupport.print(Seq("fig10" -> Tables.renderFig10(Tables.fig10Rows(
+      repro.scan.ParquetLayout.lineitemSf1000(fractions), fractions))), System.out)
   }
 }

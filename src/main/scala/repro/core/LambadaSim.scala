@@ -83,8 +83,7 @@ object LambadaSim {
     val timeline = Invoker.timeline(workers, config.region, config.cold)
     // Workers start as their invocation lands; query ends when the last one
     // posts its result and the driver drains the queue.
-    val finishes = timeline.workers.sortBy(_.id).map(_.runningAt)
-      .zip(billedSeconds).map { case (start, dur) => start + dur }
+    val finishes = timeline.runningAt.zip(billedSeconds).map { case (start, dur) => start + dur }
     val latency = finishes.max + DriverPollSeconds
 
     val workerUsd  = billedSeconds.map(config.worker.costFor).sum

@@ -47,13 +47,13 @@ object ExchangeModel {
     readDollars(algo, p) + writeDollars(algo, p)
 
   /** Fig 9's horizontal reference range: the cost of running the P workers
-    * themselves at 85 MiB/s and $3.3e-5/s — lower edge one scan of 100 MiB
-    * per worker, upper edge three scans of 1 GiB per worker.
+    * themselves at 85 MiB/s and the 2 GiB worker's $3.3e-5/s — lower edge
+    * one scan of 100 MiB per worker, upper edge three scans of 1 GiB per worker.
     */
   def workerDollarsLow(p: Int): Double =
-    p * (100.0 / 85.0) * 3.3e-5
+    p * (100.0 / 85.0) * Pricing.lambdaPerSecond(2048)
   def workerDollarsHigh(p: Int): Double =
-    p * 3 * (1024.0 / 85.0) * 3.3e-5
+    p * 3 * (1024.0 / 85.0) * Pricing.lambdaPerSecond(2048)
 
   /** Requests per second per bucket during the busiest (largest-radix) round
     * of a k-level exchange spread over B buckets, assuming the round takes

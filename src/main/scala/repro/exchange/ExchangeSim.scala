@@ -41,9 +41,6 @@ final case class ExchangeRun(
   */
 object ExchangeSim {
 
-  /** Per-worker S3 bandwidth during the exchange (2 GiB workers). */
-  val PerWorkerBytesPerSecond: Double = S3Model.SustainedMiBps * Pricing.MiB
-
   /** Aggregate S3 backend bandwidth available to one fleet; only the demand
     * *ratio* against it matters (it drives the straggler tail).
     */
@@ -65,7 +62,7 @@ object ExchangeSim {
   val CollectSeconds: Double = 0.3
 
   /** Demand ratio of `p` workers against the S3 backend. */
-  def demandRatio(p: Int): Double = p * PerWorkerBytesPerSecond / S3AggregateBytesPerSecond
+  def demandRatio(p: Int): Double = p * S3Model.SustainedBytesPerSecond / S3AggregateBytesPerSecond
 
   private def expDraw(rng: scala.util.Random): Double = -math.log(1.0 - rng.nextDouble())
 
@@ -74,7 +71,7 @@ object ExchangeSim {
     require(p >= 4, "exchange needs at least 4 workers")
     val levels = 2
     val grid   = Grid(p, levels)
-    val phase  = dataBytes / p / PerWorkerBytesPerSecond
+    val phase  = dataBytes / p / S3Model.SustainedBytesPerSecond
     val theta  = JitterBase + JitterContention * math.max(0.0, demandRatio(p) - 1.0)
     val coord  = CoordSecondsPerWorker * p
 
@@ -84,8 +81,7 @@ object ExchangeSim {
     val read  = Vector.fill(p, levels + 1)(phase * (1.0 + ReadJitter * expDraw(rng))).transpose
     val write = Vector.fill(levels, p)(phase * (1.0 + theta * expDraw(rng)))
 
-    val starts = Invoker.timeline(p, LambdaModel.Eu, cold = false).workers
-      .sortBy(_.id).map(_.runningAt)
+    val starts = Invoker.timeline(p, LambdaModel.Eu, cold = false).runningAt
 
     // Round d: write, wait for the slowest writer of the barrier group (the
     // workers that differ only in coordinate d) plus coordination, then read.

@@ -23,59 +23,38 @@ final case class InvocationTimeline(workers: Vector[WorkerStart]) {
   def lastInitiatedAt: Double = workers.map(_.initiatedAt).max
   /** When every worker is running (the invocation makespan). */
   def makespan: Double = workers.map(_.runningAt).max
+  /** When each worker is running, indexed by worker id. */
+  def runningAt: Vector[Double] = workers.sortBy(_.id).map(_.runningAt)
   def size: Int = workers.size
 }
 
 /** Simulation of the worker-invocation component (Section 4.2, Table 1,
-  * Fig 5): a driver with a fixed thread pool invokes workers against a
-  * provider-side rate cap; optionally the first sqrt(P) workers invoke the
-  * remaining ones from inside the region (the two-level "propagation tree").
+  * Fig 5): a driver with `LambdaModel.DriverInvokerThreads` invoker threads
+  * invokes a first generation of workers against a provider-side rate cap,
+  * and each of those invokes its share of the rest from inside the region.
+  * Driver-only invocation is the tree whose first generation is every worker.
   */
 object Invoker {
 
   private def startDelay(cold: Boolean): Double =
     if (cold) LambdaModel.ColdStartSeconds else LambdaModel.WarmStartSeconds
 
-  /** One-level scheme: the driver invokes all `p` workers itself using
-    * `threads` concurrent invoker threads.
+  /** The invocation tree: the driver invokes workers `0 until firstGeneration`,
+    * and each of them invokes its share of the remaining `p - firstGeneration`
+    * (ids from `firstGeneration` up) at the intra-region rate before running
+    * its own query fragment.
     */
-  def oneLevel(
-      p: Int,
-      region: Region,
-      threads: Int = LambdaModel.DriverInvokerThreads,
-      cold: Boolean = true,
-  ): InvocationTimeline = {
+  private def tree(p: Int, firstGeneration: Int, region: Region, cold: Boolean)
+      : InvocationTimeline = {
     require(p >= 1, "need at least one worker")
-    val rate = region.concurrentRate(threads)
-    val ws = Vector.tabulate(p) { i =>
-      val initiated = (i + 1) / rate
-      val running   = initiated + region.singleInvokeSeconds + startDelay(cold)
-      WorkerStart(i, generation = 1, initiated, running, doneInvokingAt = running)
-    }
-    InvocationTimeline(ws)
-  }
-
-  /** Two-level scheme (Fig 5): the driver invokes ~sqrt(P) first-generation
-    * workers, each of which invokes ~sqrt(P)-1 second-generation workers at
-    * the intra-region rate before running its own query fragment.
-    */
-  def twoLevel(
-      p: Int,
-      region: Region,
-      threads: Int = LambdaModel.DriverInvokerThreads,
-      cold: Boolean = true,
-  ): InvocationTimeline = {
-    require(p >= 1, "need at least one worker")
-    val gen1Count = math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt)
-    val driverRate = region.concurrentRate(threads)
-    // Distribute the remaining p - gen1Count IDs over the gen-1 workers.
-    val remaining  = p - gen1Count
-    val baseKids   = remaining / gen1Count
-    val extraKids  = remaining % gen1Count
+    val driverRate = region.concurrentRate(LambdaModel.DriverInvokerThreads)
+    val remaining  = p - firstGeneration
+    val baseKids   = remaining / firstGeneration
+    val extraKids  = remaining % firstGeneration
 
     val builder = Vector.newBuilder[WorkerStart]
-    var nextId  = gen1Count
-    for (i <- 0 until gen1Count) {
+    var nextId  = firstGeneration
+    for (i <- 0 until firstGeneration) {
       val initiated = (i + 1) / driverRate
       val running   = initiated + region.singleInvokeSeconds + startDelay(cold)
       val kids      = baseKids + (if (i < extraKids) 1 else 0)
@@ -92,20 +71,25 @@ object Invoker {
     InvocationTimeline(builder.result())
   }
 
+  /** One-level scheme: the driver invokes all `p` workers itself. */
+  def oneLevel(p: Int, region: Region, cold: Boolean = true): InvocationTimeline =
+    tree(p, p, region, cold)
+
+  /** Two-level scheme (Fig 5): the driver invokes ~sqrt(P) first-generation
+    * workers, each of which invokes ~sqrt(P)-1 second-generation workers.
+    */
+  def twoLevel(p: Int, region: Region, cold: Boolean = true): InvocationTimeline =
+    tree(p, math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt), region, cold)
+
   /** Seconds the driver alone would need just to *issue* `p` invocations —
     * the paper's "13 s to 18 s" for 4096 workers that motivates the tree.
     */
-  def driverOnlyIssueSeconds(p: Int, region: Region,
-                             threads: Int = LambdaModel.DriverInvokerThreads): Double =
-    p / region.concurrentRate(threads)
+  def driverOnlyIssueSeconds(p: Int, region: Region): Double =
+    p / region.concurrentRate(LambdaModel.DriverInvokerThreads)
 
   /** The invocation scheme the simulations use for `p` workers: the driver
     * alone up to 64 workers, the two-level tree above.
     */
   def timeline(p: Int, region: Region, cold: Boolean): InvocationTimeline =
-    if (p <= 64) oneLevel(p, region, cold = cold) else twoLevel(p, region, cold = cold)
-
-  /** Invocation makespan used by the end-to-end query simulations. */
-  def makespan(p: Int, region: Region = repro.model.LambdaModel.Eu, cold: Boolean = false): Double =
-    timeline(p, region, cold).makespan
+    if (p <= 64) oneLevel(p, region, cold) else twoLevel(p, region, cold)
 }

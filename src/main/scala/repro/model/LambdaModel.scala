@@ -67,12 +67,6 @@ object LambdaModel {
   /** AWS's documented proportionality constant: 1792 MiB == 1 vCPU. */
   val MiBPerVCpu: Double = 1792.0
 
-  /** Service limit on threads inside one function (Section 4.1). */
-  val MaxThreadsPerFunction: Int = 1024
-
-  /** Default limit on concurrent executions before a support request. */
-  val DefaultConcurrencyLimit: Int = 1000
-
   /** Container start penalties: cold includes code + dependency-layer load. */
   val ColdStartSeconds: Double = 0.45
   val WarmStartSeconds: Double = 0.05

@@ -17,6 +17,11 @@ object S3Model {
   /** Stable per-worker ingress limit for large files (Fig 6a): ~90 MiB/s. */
   val SustainedMiBps: Double = 90.0
 
+  /** The same limit in bytes/s: the scan rate of a 2 GiB worker in Fig 1's
+    * FaaS simulation and the per-worker bandwidth of the exchange sim.
+    */
+  val SustainedBytesPerSecond: Double = SustainedMiBps * MiB
+
   /** Workers under 1 GiB see slightly lower ingress bandwidth (Fig 6a). */
   val SmallWorkerMiBps: Double = 72.0
 

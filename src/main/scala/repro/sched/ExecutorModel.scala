@@ -25,9 +25,6 @@ object ExecutorModel {
   /** Worker size used by the intro simulation: 2 GiB. */
   val FaasWorker: WorkerConfig = WorkerConfig(2048)
 
-  /** Per-worker S3 scan bandwidth of a FaaS worker in bytes/s. */
-  val FaasScanBytesPerSecond: Double = S3Model.SustainedMiBps * Pricing.MiB
-
   /** Job-scoped IaaS (Spark-executor style): boot `n` VMs, scan, terminate.
     * Billing is per-second of VM uptime including the boot.
     */
@@ -38,15 +35,15 @@ object ExecutorModel {
     ScanEstimate(n, latency, n * latency / 3600.0 * tier.hourlyUsd)
   }
 
-  /** FaaS scan: invoke `n` workers (4 s), each scans its share from S3.
-    * Billed per worker-second of execution plus invocations.
-    */
   /** Billed per-worker handler overhead beyond the scan itself. */
   val FaasBilledOverheadSeconds: Double = 0.5
 
+  /** FaaS scan: invoke `n` workers (4 s), each scans its share from S3.
+    * Billed per worker-second of execution plus invocations.
+    */
   def faasScan(bytes: Double, n: Int): ScanEstimate = {
     require(n >= 1, "need at least one worker")
-    val scan    = bytes / (n * FaasScanBytesPerSecond)
+    val scan    = bytes / (n * S3Model.SustainedBytesPerSecond)
     val latency = FaasStartupSeconds + scan
     val dollars = n * FaasWorker.costFor(scan + FaasBilledOverheadSeconds) +
       n * Pricing.LambdaPerInvocation
@@ -66,7 +63,7 @@ object ExecutorModel {
   /** Per-query FaaS dollars when sized for `targetSeconds` latency. */
   def faasPerQueryUsd(bytes: Double, targetSeconds: Double): Double = {
     val scanSeconds = math.max(targetSeconds - FaasStartupSeconds, 1.0)
-    val n = math.ceil(bytes / (FaasScanBytesPerSecond * scanSeconds)).toInt
+    val n = math.ceil(bytes / (S3Model.SustainedBytesPerSecond * scanSeconds)).toInt
     faasScan(bytes, n).dollars
   }
 

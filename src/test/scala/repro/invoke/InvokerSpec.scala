@@ -107,7 +107,28 @@ class InvokerSpec extends AnyFunSuite with PropSpec {
         if (p <= 64) Invoker.oneLevel(p, LambdaModel.Eu, cold = cold)
         else Invoker.twoLevel(p, LambdaModel.Eu, cold = cold)
       assert(Invoker.timeline(p, LambdaModel.Eu, cold) == expected, s"p=$p cold=$cold")
-      assert(Invoker.makespan(p, LambdaModel.Eu, cold) == expected.makespan)
+    }
+  }
+
+  checkProp("driver-only: worker i is initiated at (i + 1) / rate and runs one round-trip later") {
+    val eu   = LambdaModel.Eu
+    val rate = eu.concurrentRate(128)
+    Prop.forAll(Gen.choose(1, 3000)) { p =>
+      val tl = Invoker.oneLevel(p, eu, cold = false)
+      tl.workers.map(_.id) == (0 until p) && tl.workers.forall { w =>
+        val initiated = (w.id + 1) / rate
+        val running   = initiated + eu.singleInvokeSeconds + LambdaModel.WarmStartSeconds
+        w.generation == 1 && w.initiatedAt == initiated && w.runningAt == running &&
+          w.doneInvokingAt == w.runningAt
+      }
+    }
+  }
+
+  test("runningAt lists each worker's start by id") {
+    for (p <- Seq(1, 64, 65, 1000)) {
+      val tl = Invoker.timeline(p, LambdaModel.Eu, cold = false)
+      assert(tl.runningAt.size == p)
+      tl.workers.foreach(w => assert(tl.runningAt(w.id) == w.runningAt, s"p=$p id=${w.id}"))
     }
   }
 }
