@@ -1,69 +1,36 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Queries
 import repro.report.Tables
 import repro.scan.ParquetLayout
 
-/** Fig 10 — TPC-H Q1 across worker memory sizes and files-per-worker, on
-  * the paper-scale layout (320 files, SF 1000) with the dbgen-16 column
-  * fractions, and again with column fractions *measured* from the real
-  * SF 0.1 cold store written by Spark.
+/** Fig 10 — TPC-H Q1 across worker memory sizes and files-per-worker on the
+  * paper-scale layout (320 files, SF 1000), with column fractions *measured*
+  * from the real SF 0.1 cold store written by Spark. The same sweep over the
+  * dbgen-16 fractions is `AllTablesJob fig10`, checked in `LambadaSimSpec`.
   */
 class Fig10WorkerConfigBench extends SparkSpec {
 
-  private lazy val defaultRows  = Tables.fig10Rows()
   private lazy val measuredRows = {
     val fractions = BenchData.measuredFractions(this)
     Tables.fig10Rows(ParquetLayout.lineitemSf1000(fractions), fractions)
   }
 
-  test("Fig 10: print the reproduced tables (dbgen-16 and measured fractions)") {
-    println(Tables.renderFig10(defaultRows))
-    println()
-    println("-- same sweep with column fractions measured from the real SF 0.1 cold store --")
+  test("Fig 10: print the sweep with column fractions measured from the real SF 0.1 cold store") {
     println(Tables.renderFig10(measuredRows))
   }
 
   test("claim: growing workers from 512 to 1796 MiB is faster AND marginally cheaper") {
-    for (rows <- Seq(defaultRows, measuredRows)) {
-      val m512  = rows.find(r => r.memoryMiB == 512 && r.filesPerWorker == 1).get
-      val m1792 = rows.find(r => r.memoryMiB == 1792 && r.filesPerWorker == 1).get
-      assert(m1792.hot.latencySeconds < m512.hot.latencySeconds / 2)
-      assert(m1792.hot.dollars < m512.hot.dollars)
-    }
+    val m512  = measuredRows.find(r => r.memoryMiB == 512 && r.filesPerWorker == 1).get
+    val m1792 = measuredRows.find(r => r.memoryMiB == 1792 && r.filesPerWorker == 1).get
+    assert(m1792.hot.latencySeconds < m512.hot.latencySeconds / 2)
+    assert(m1792.hot.dollars < m512.hot.dollars)
   }
 
   test("claim: beyond 1796 MiB the price increases without improving speed") {
-    for (rows <- Seq(defaultRows, measuredRows)) {
-      val m1792 = rows.find(r => r.memoryMiB == 1792 && r.filesPerWorker == 1).get
-      val m3008 = rows.find(r => r.memoryMiB == 3008 && r.filesPerWorker == 1).get
-      assert(m3008.hot.dollars > 1.2 * m1792.hot.dollars)
-      assert(m3008.hot.latencySeconds > 0.85 * m1792.hot.latencySeconds)
-    }
-  }
-
-  test("claim: more workers (smaller F) speed up execution at diminishing gains") {
-    val f = Map(1 -> 320, 2 -> 160, 4 -> 80)
-    val rows = defaultRows.filter(_.memoryMiB == 1792).sortBy(_.filesPerWorker)
-    rows.foreach(r => assert(r.workers == f(r.filesPerWorker)))
-    val lats = rows.map(_.hot.latencySeconds)
-    assert(lats == lats.sorted, "F=1 fastest")
-    val costs = rows.map(_.hot.dollars)
-    assert(costs == costs.sorted.reverse, "F=1 most expensive")
-  }
-
-  test("claim: hot and cold Q1 run within the interactive 10 s budget (M >= 1024)") {
-    defaultRows.filter(r => r.memoryMiB >= 1024 && r.filesPerWorker == 1).foreach { r =>
-      assert(r.hot.latencySeconds < 10.0, s"M=${r.memoryMiB} hot")
-      assert(r.cold.latencySeconds < 10.0, s"M=${r.memoryMiB} cold")
-    }
-  }
-
-  test("claim: cold runs pay a ~20-35 % end-to-end penalty") {
-    val r = defaultRows.find(r => r.memoryMiB == 1792 && r.filesPerWorker == 1).get
-    val penalty = r.cold.latencySeconds / r.hot.latencySeconds
-    println(f"cold/hot penalty: $penalty%.2f (paper ~1.2)")
-    assert(penalty > 1.1 && penalty < 1.4)
+    val m1792 = measuredRows.find(r => r.memoryMiB == 1792 && r.filesPerWorker == 1).get
+    val m3008 = measuredRows.find(r => r.memoryMiB == 3008 && r.filesPerWorker == 1).get
+    assert(m3008.hot.dollars > 1.2 * m1792.hot.dollars)
+    assert(m3008.hot.latencySeconds > 0.85 * m1792.hot.latencySeconds)
   }
 }

@@ -5,30 +5,17 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.coldstore.ColdStore
 import repro.core.Queries
-import repro.report.{Report, Tables}
+import repro.report.Report
 import repro.sched.TaskMetrics
 
 /** Fig 11 — per-worker processing-time distribution under selection
-  * push-down, twice:
-  *
-  *  1. the paper-scale simulation (320 workers, SF 1000), where the bimodal
-  *     fast/slow classes and the 2 % / 80 % pruned fractions emerge from the
-  *     sorted layout; and
-  *  2. *real* Spark tasks over the SF 0.1 cold store, one task per file,
-  *     where Parquet row-group min/max pushdown plays the role of the
-  *     workers' footer pruning — the executor-model analogue of the paper's
-  *     serverless workers.
+  * push-down, over *real* Spark tasks on the SF 0.1 cold store, one task per
+  * file, where Parquet row-group min/max pushdown plays the role of the
+  * workers' footer pruning — the executor-model analogue of the paper's
+  * serverless workers. The paper-scale simulation (320 workers, SF 1000) is
+  * `AllTablesJob fig11`, checked in `LambadaSimSpec` and `TablesSpec`.
   */
 class Fig11PushdownBench extends SparkSpec {
-
-  test("Fig 11 (simulated, SF 1000): print and check pruned fractions") {
-    val q1 = Tables.fig11Data(Queries.Q1Profile)
-    val q6 = Tables.fig11Data(Queries.Q6Profile)
-    println(Tables.renderFig11(Seq(q1, q6)))
-    assert(q1.prunedFraction > 0.01 && q1.prunedFraction < 0.07, "paper ~2 %")
-    assert(q6.prunedFraction > 0.75 && q6.prunedFraction < 0.90, "paper ~80 %")
-    assert(q1.fastClassMedian < 0.3 && q1.slowClassMedian > 2.0)
-  }
 
   test("Fig 11 (real Spark tasks, SF 0.1): pushdown creates a cheap task class") {
     val dir = BenchData.dir(this)

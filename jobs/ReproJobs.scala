@@ -32,11 +32,12 @@ object JobSupport {
   }
 
   /** Each artifact as a `### <id>` line, the table and a blank line, encoded
-    * as UTF-8: the format of `src/test/resources/contract/tables.txt`.
+    * as UTF-8: the format of `src/test/resources/contract/tables.txt`. Each
+    * table renders just before it prints.
     */
-  def print(artifacts: Seq[(String, String)], out: OutputStream): Unit = {
+  def print(artifacts: Seq[(String, () => String)], out: OutputStream): Unit = {
     val w = new PrintStream(out, false, UTF_8)
-    artifacts.foreach { case (id, table) => w.println(s"### $id"); w.println(table); w.println() }
+    artifacts.foreach { case (id, render) => w.println(s"### $id"); w.println(render()); w.println() }
     w.flush()
   }
 }
@@ -47,9 +48,10 @@ object JobSupport {
 object AllTablesJob {
 
   /** The artifacts of `all` named by `ids`, in `all`'s order; every one when
-    * `ids` is empty. An unknown id fails with the list of valid ones.
+    * `ids` is empty. An unknown id fails with the list of valid ones. Renders
+    * nothing.
     */
-  def select(all: Seq[(String, String)], ids: Seq[String]): Seq[(String, String)] = {
+  def select(all: Seq[(String, () => String)], ids: Seq[String]): Seq[(String, () => String)] = {
     val valid   = all.map(_._1)
     val unknown = ids.filterNot(valid.contains)
     require(unknown.isEmpty,
@@ -71,7 +73,7 @@ object Fig10Job {
       val spark = JobSupport.localSpark("fig10")
       try JobSupport.measuredFractions(spark, sf.toDouble) finally spark.stop()
     }.getOrElse(repro.scan.ParquetLayout.LineitemColumnFractions)
-    JobSupport.print(Seq("fig10" -> Tables.renderFig10(Tables.fig10Rows(
-      repro.scan.ParquetLayout.lineitemSf1000(fractions), fractions))), System.out)
+    JobSupport.print(Seq("fig10" -> (() => Tables.renderFig10(Tables.fig10Rows(
+      repro.scan.ParquetLayout.lineitemSf1000(fractions), fractions)))), System.out)
   }
 }

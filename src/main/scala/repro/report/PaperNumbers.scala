@@ -15,31 +15,16 @@ object PaperNumbers {
     "ap" -> (536.0, 222.0, 81.0),
   )
 
-  /** Section 4.2: invoking 1000 workers from the driver takes 3.4-4.4 s. */
-  val DriverOnly1000WorkersSecondsRange: (Double, Double) = (3.4, 4.4)
-
-  /** Fig 5: the two-level scheme initiates the last of 4096 invocations
-    * after ~2.5 s (vs 13-18 s driver-only), all workers running < 4 s.
-    */
-  val Fig5LastInitiatedSeconds: Double = 2.5
+  /** Fig 5: invoking 4096 workers from the driver alone takes 13-18 s. */
   val Fig5DriverOnlySecondsRange: (Double, Double) = (13.0, 18.0)
-  val AbstractInvocationClaim: (Int, Double) = (4000, 3.0) // "4k functions in 3 s"
 
   /** Fig 4: largest worker (3008 MiB) reaches 1.67x with two threads. */
   val Fig4MaxRelativeThroughput: Double = 1.67
 
-  /** Fig 6a: large-file ingress limit ~90 MiB/s per worker. */
-  val Fig6LargeFileMiBps: Double = 90.0
   /** Fig 6b: small files burst to almost 300 MiB/s with several connections. */
   val Fig6SmallFileBurstMiBps: Double = 300.0
-  /** Fig 7: 1 connection needs ~16 MB chunks to approach max; 4 connections
-    * reach it at 1 MB; at 1 MiB chunks requests cost 1.7x the workers.
-    */
-  val Fig7SingleConnSaturationChunkMiB: Double = 16.0
-  val Fig7FourConnSaturationChunkMiB: Double = 1.0
+  /** Fig 7: at 1 MiB chunks requests cost 1.7x the workers. */
   val Fig7RequestToWorkerRatioAt1MiB: Double = 1.7
-
-  /** Table 2 — request complexity (symbolic; we check the closed forms). */
 
   /** Fig 9 context: 4k workers on 4 TiB — requests ~$100, workers ~$3.3. */
   val Fig9BasicExchange4kRequestUsd: Double = 100.0
@@ -56,12 +41,10 @@ object PaperNumbers {
   val Exchange1TbSeconds: Double = 56.0
   val Exchange3TbWorkers: Int = 2500
   val Exchange3TbSeconds: Double = 159.0
-  val Locus1TbSeconds: Double = 39.0 // VM-based fast storage
-  /** Fig 13: 1 TB fastest worker ~85 % of slowest; 3 TB total >2x the lower
-    * bound and slowest writer ~4x (vs ~1.3x) the median.
+  /** Fig 13: 1 TB fastest worker ~85 % of slowest; slowest writer ~4x (vs
+    * ~1.3x at 1 TB) the median on 3 TB.
     */
   val Fig13OneTbFastestOverSlowest: Double = 0.85
-  val Fig13ThreeTbSlowdownOverBound: Double = 2.0
   val Fig13WriteTailRatioSmall: Double = 1.3
   val Fig13WriteTailRatioBig: Double = 4.0
 
@@ -72,21 +55,15 @@ object PaperNumbers {
   val Fig10LatencyCeilingSeconds: Double = 10.0
   val Fig10ColdPenalty: Double = 1.2
 
-  /** Fig 11: fast class 100-200 ms, slow class 2-3 s; pruned worker share
-    * ~2 % for Q1 and ~80 % for Q6.
-    */
+  /** Fig 11: fast class 100-200 ms, slow class 2-3 s. */
   val Fig11FastClassSecondsRange: (Double, Double) = (0.1, 0.2)
   val Fig11SlowClassSecondsRange: (Double, Double) = (2.0, 3.0)
-  val Fig11Q1PrunedFraction: Double = 0.02
-  val Fig11Q6PrunedFraction: Double = 0.80
 
   /** Fig 12 / Section 5.4.2: latency ratios Athena/Lambada. */
   val Fig12AthenaOverLambadaQ1Sf1k: Double  = 4.0
   val Fig12AthenaOverLambadaQ1Sf10k: Double = 26.0
   val Fig12AthenaOverLambadaQ6Sf10k: Double = 15.0
-  /** BigQuery hot runtimes at SF 1k; relative position at SF 10k. */
-  val Fig12BigQueryQ1Sf1kSeconds: Double = 3.9
-  val Fig12BigQueryQ6Sf1kSeconds: Double = 1.6
+  /** BigQuery's position relative to Lambada at SF 10k. */
   val Fig12BigQueryOverLambadaQ1Sf10k: Double = 2.3  // BQ slower
   val Fig12LambadaOverBigQueryQ6Sf10k: Double = 2.0  // BQ faster
   val Fig12BigQueryLoadSf1kMinutes: Double = 40.0
@@ -96,11 +73,4 @@ object PaperNumbers {
     */
   val Fig12CostGapAthenaOrders: Double = 1.0
   val Fig12CostGapBigQueryOrders: Double = 2.0
-
-  /** Intro: FaaS vs job-scoped IaaS — IaaS up to ~1 order of magnitude
-    * cheaper at its cost-optimum; FaaS interactive. Conclusion: >1 TB in
-    * ~15 s.
-    */
-  val Fig1IaasCheaperFactorOrder: Double = 10.0
-  val ConclusionTbSeconds: Double = 15.0
 }

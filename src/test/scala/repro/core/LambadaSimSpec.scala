@@ -2,11 +2,14 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.report.PaperNumbers
 import repro.scan.ParquetLayout
 
 class LambadaSimSpec extends AnyFunSuite {
 
   private val files = ParquetLayout.lineitemSf1000()
+  /** The SF 10k layout Fig 12 renders. */
+  private lazy val sf10k = ParquetLayout.lineitemSf10000(files)
 
   private def q1(config: LambadaConfig) = LambadaSim.run(files, Queries.Q1Profile, config)
   private def q6(config: LambadaConfig) = LambadaSim.run(files, Queries.Q6Profile, config)
@@ -38,10 +41,11 @@ class LambadaSimSpec extends AnyFunSuite {
   }
 
   test("Fig 10b: fewer files per worker is faster but more expensive") {
-    val f1 = q1(LambadaConfig(1792, 1))
-    val f4 = q1(LambadaConfig(1792, 4))
-    assert(f1.latencySeconds < f4.latencySeconds)
-    assert(f1.dollars > f4.dollars)
+    val runs = Seq(1, 2, 4).map(f => q1(LambadaConfig(1792, f)))
+    runs.sliding(2).foreach { case Seq(fewer, more) =>
+      assert(fewer.latencySeconds < more.latencySeconds, s"F=${fewer.config.filesPerWorker}")
+      assert(fewer.dollars > more.dollars, s"F=${fewer.config.filesPerWorker}")
+    }
   }
 
   test("Fig 10: hot Q1 returns in under 10 s for all M >= 1024 configurations") {
@@ -54,7 +58,15 @@ class LambadaSimSpec extends AnyFunSuite {
     val hot  = q1(LambadaConfig(1792, 1)).latencySeconds
     val cold = q1(LambadaConfig(1792, 1, cold = true)).latencySeconds
     val penalty = cold / hot
-    assert(penalty > 1.10 && penalty < 1.40, s"paper ~1.2, ours $penalty")
+    assert(penalty > 1.10 && penalty < 1.40,
+      s"paper ~${PaperNumbers.Fig10ColdPenalty}, ours $penalty")
+    // Every cell of the sweep; cold Q1 stays interactive for M >= 1024 at F=1.
+    LambadaSim.workerConfigSweep(files, Queries.Q1Profile).foreach { case (c, h) =>
+      val cell = s"M=${c.config.memoryMiB} F=${c.config.filesPerWorker}"
+      assert(c.latencySeconds > h.latencySeconds, cell)
+      if (c.config.memoryMiB >= 1024 && c.config.filesPerWorker == 1)
+        assert(c.latencySeconds < PaperNumbers.Fig10LatencyCeilingSeconds, cell)
+    }
   }
 
   test("Fig 11: Q1 prunes ~2-5 % of workers, Q6 ~80-90 % (min/max on l_shipdate)") {
@@ -77,7 +89,6 @@ class LambadaSimSpec extends AnyFunSuite {
   }
 
   test("Fig 12: latency stays roughly constant from SF 1k to SF 10k") {
-    val sf10k = Vector.tabulate(10)(r => files.map(f => f.copy(path = s"r$r/${f.path}"))).flatten
     val small = LambadaSim.run(files, Queries.Q1Profile, LambadaConfig(1792, 1))
     val big   = LambadaSim.run(sf10k, Queries.Q1Profile, LambadaConfig(1792, 1))
     assert(big.workers == 3200)
@@ -86,7 +97,6 @@ class LambadaSimSpec extends AnyFunSuite {
   }
 
   test("cost scales ~linearly with the dataset (10x files ~ 10x dollars)") {
-    val sf10k = Vector.tabulate(10)(r => files.map(f => f.copy(path = s"r$r/${f.path}"))).flatten
     val small = LambadaSim.run(files, Queries.Q1Profile, LambadaConfig(1792, 1))
     val big   = LambadaSim.run(sf10k, Queries.Q1Profile, LambadaConfig(1792, 1))
     val ratio = big.dollars / small.dollars

@@ -51,6 +51,9 @@ class ExchangeModelSpec extends AnyFunSuite with PropSpec {
     val workerHigh = ExchangeModel.workerDollarsHigh(p)
     assert(workerHigh > 2.5 && workerHigh < 5.5,
       s"paper: ~${PaperNumbers.Fig9Workers4kUsd}, ours $workerHigh")
+    val paperRatio = PaperNumbers.Fig9BasicExchange4kRequestUsd / PaperNumbers.Fig9Workers4kUsd
+    assert(requestUsd > 15 * workerHigh,
+      f"requests dwarf workers: paper $paperRatio%.0fx, ours ${requestUsd / workerHigh}%.1fx")
   }
 
   test("Fig 9: at 256 workers, 1l request costs already exceed worker costs") {

@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropSpec
 import repro.model.LambdaModel
+import repro.report.PaperNumbers
 
 class InvokerSpec extends AnyFunSuite with PropSpec {
 
@@ -16,6 +17,9 @@ class InvokerSpec extends AnyFunSuite with PropSpec {
   test("driver-only: 4096 workers would take 13 s to 18 s (Fig 5 discussion)") {
     val times = LambdaModel.Regions.map(r => Invoker.driverOnlyIssueSeconds(4096, r))
     assert(times.min >= 13.0 && times.max <= 19.0, times)
+    val eu = Invoker.driverOnlyIssueSeconds(4096, LambdaModel.Eu)
+    assert(eu > 13.0 && eu < 18.0,
+      s"Fig 5's region: paper ${PaperNumbers.Fig5DriverOnlySecondsRange}, ours $eu")
   }
 
   test("two-level: last of 4096 invocations initiated far sooner than driver-only") {

@@ -4,12 +4,14 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropSpec
+import repro.report.PaperNumbers
 
 class S3ModelSpec extends AnyFunSuite with PropSpec {
 
   test("large-file sustained bandwidth is ~90 MiB/s per worker (Fig 6a)") {
     assert(S3Model.sustainedMiBps(2048) == 90.0)
     assert(S3Model.sustainedMiBps(3008) == 90.0)
+    for (c <- 1 to 8) assert(S3Model.scanMiBps(64.0, c, 3008) <= 90.0 + 1e-9, s"$c connections")
   }
 
   test("workers under 1 GiB see slightly lower ingress bandwidth (Fig 6a)") {
@@ -38,6 +40,7 @@ class S3ModelSpec extends AnyFunSuite with PropSpec {
 
   test("small objects burst to ~300 MiB/s only with several connections on big workers (Fig 6b)") {
     assert(S3Model.smallObjectMiBps(16.0, 4, 3008) == S3Model.BurstMiBps)
+    assert(S3Model.BurstMiBps == PaperNumbers.Fig6SmallFileBurstMiBps)
     assert(S3Model.smallObjectMiBps(16.0, 1, 3008) < 90.0)     // one connection: no burst
     assert(S3Model.smallObjectMiBps(16.0, 4, 512) <= 90.0)     // small worker: no burst credit
   }
@@ -62,11 +65,14 @@ class S3ModelSpec extends AnyFunSuite with PropSpec {
   }
 
   test("with tiny chunks, request cost dominates the worker cost (Fig 7)") {
-    val sweep = repro.scan.ScanModel.chunkSizeSweep(chunksMiB = Seq(0.25, 16.0),
+    val sweep = repro.scan.ScanModel.chunkSizeSweep(chunksMiB = Seq(0.25, 1.0, 16.0),
       connections = Seq(4))
     val tiny = sweep.find(r => r.chunkMiB == 0.25).get
+    val one  = sweep.find(r => r.chunkMiB == 1.0).get.requestToWorkerCostRatio
     val big  = sweep.find(r => r.chunkMiB == 16.0).get
     assert(tiny.requestToWorkerCostRatio > 1.0, "0.25 MiB chunks: requests dominate")
+    assert(one > 0.3 && one < 2.5, "1 MiB chunks: requests rival workers " +
+      s"(paper ${PaperNumbers.Fig7RequestToWorkerRatioAt1MiB}x, ours ${one}x)")
     assert(big.requestToWorkerCostRatio < 0.1, "16 MiB chunks: requests negligible")
   }
 
