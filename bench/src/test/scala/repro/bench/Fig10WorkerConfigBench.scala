@@ -20,14 +20,14 @@ class Fig10WorkerConfigBench extends SparkSpec {
     println(Tables.renderFig10(measuredRows))
   }
 
-  test("claim: growing workers from 512 to 1796 MiB is faster AND marginally cheaper") {
+  test("claim: growing workers from 512 to 1792 MiB is faster AND marginally cheaper") {
     val m512  = measuredRows.find(r => r.memoryMiB == 512 && r.filesPerWorker == 1).get
     val m1792 = measuredRows.find(r => r.memoryMiB == 1792 && r.filesPerWorker == 1).get
     assert(m1792.hot.latencySeconds < m512.hot.latencySeconds / 2)
     assert(m1792.hot.dollars < m512.hot.dollars)
   }
 
-  test("claim: beyond 1796 MiB the price increases without improving speed") {
+  test("claim: beyond 1792 MiB the price increases without improving speed") {
     val m1792 = measuredRows.find(r => r.memoryMiB == 1792 && r.filesPerWorker == 1).get
     val m3008 = measuredRows.find(r => r.memoryMiB == 3008 && r.filesPerWorker == 1).get
     assert(m3008.hot.dollars > 1.2 * m1792.hot.dollars)

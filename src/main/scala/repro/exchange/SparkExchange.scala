@@ -1,59 +1,36 @@
 package repro.exchange
 
-import org.apache.spark.Partitioner
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-
-/** Routes each element to the partition equal to its precomputed id. */
-final class IdPartitioner(val numPartitions: Int) extends Partitioner {
-  require(numPartitions >= 1)
-  override def getPartition(key: Any): Int = key.asInstanceOf[Int]
-  override def equals(other: Any): Boolean = other match {
-    case o: IdPartitioner => o.numPartitions == numPartitions
-    case _                => false
-  }
-  override def hashCode(): Int = numPartitions
-}
 
 /** The paper's k-level exchange (Algorithms 1-2) executed as *real* data
   * movement inside Spark. The contribution is a physical exchange operator,
-  * so this sits at the physical (RDD partitioning) layer: on the k-level
-  * [[Grid]] of P, round r routes each record within its group of s_r
-  * workers (the grid's radices) to fix dimension r - 1 of its target
-  * partition. After k rounds every record resides in exactly the partition
-  * a direct hash exchange would have chosen; the direct exchange is the
-  * k = 1 case.
+  * so each round is one `Dataset.repartitionById`: a shuffle that sends every
+  * row to the partition id it computes for itself. On the k-level [[Grid]]
+  * of P, round r routes each record within its group of s_r workers (the
+  * grid's radices) to fix dimension r - 1 of its target partition. After k
+  * rounds every record resides in exactly the partition a direct hash
+  * exchange would have chosen; the direct exchange is the k = 1 case.
   */
 object SparkExchange {
 
   /** Target partition of a key: the hash partitioning every route agrees on. */
   def targetPartition(key: Long, p: Int): Int = ServerlessExchange.partitionOf(key, p)
 
-  private def route(p: Int)(df: DataFrame, pidOf: (Int, Long) => Int): DataFrame = {
-    val spark  = df.sparkSession
-    val schema = df.schema
-    val keyIdx = schema.fieldIndex("k")
-    val routed = df.rdd
-      .mapPartitionsWithIndex { (pid, it) =>
-        it.map(row => (pidOf(pid, row.getLong(keyIdx)), row))
-      }
-      .partitionBy(new IdPartitioner(p))
-      .values
-    spark.createDataFrame(routed, schema)
-  }
-
   /** Per round of the `levels`-level grid, the partition a record moves to:
     * its own, with that round's coordinate replaced by its target's.
     */
-  private def rounds(p: Int, levels: Int): Seq[(Int, Long) => Int] = {
+  private def rounds(p: Int, levels: Int): Seq[Column] = {
     val grid = Grid(p, levels)
-    (0 until levels).map(d => (pid: Int, key: Long) =>
-      grid.withCoord(pid, d, grid.coord(targetPartition(key, p), d)))
+    (0 until levels).map { d =>
+      val to = udf((pid: Int, key: Long) => grid.withCoord(pid, d, grid.coord(targetPartition(key, p), d)))
+      to(spark_partition_id(), col("k"))
+    }
   }
 
   /** The `levels`-level grid exchange, at any P. */
   def exchange(df: DataFrame, p: Int, levels: Int): DataFrame =
-    rounds(p, levels).foldLeft(df.repartition(p))(route(p))
+    rounds(p, levels).foldLeft(df.repartition(p))((in, c) => in.repartitionById(p, c))
 
   /** The one- and two-level cases, kept for the benchmark's callers. */
   def direct(df: DataFrame, p: Int): DataFrame   = exchange(df, p, 1)
@@ -61,6 +38,8 @@ object SparkExchange {
 
   /** Number of records off their target partition — 0 iff every record
     * already sits on its target (used to assert exchange correctness).
+    * It counts over `df.rdd`, which a `DataFrame` computes once: callers
+    * that then inspect the same exchange do not route its rows again.
     */
   def misplacedCount(df: DataFrame, p: Int): Long = {
     val keyIdx = df.schema.fieldIndex("k")
@@ -72,16 +51,20 @@ object SparkExchange {
   /** Per round of the `levels`-level exchange, the number of (sender
     * partition, receiver) pairs with data — the analogue of the files
     * (requests) a serverless exchange round creates, bounded by P * s_r
-    * (Table 2). Nothing is routed after the last round.
+    * (Table 2). One routed pass: each row carries its partition before every
+    * round, so round d's pairs are its d-th and (d+1)-th partitions. The
+    * last round's receivers are computed, not routed.
     */
   def roundFiles(df: DataFrame, p: Int, levels: Int): Seq[Long] = {
-    val rs = rounds(p, levels)
-    rs.init.scanLeft(df.repartition(p))(route(p)).zip(rs).map { case (in, pidOf) =>
-      val keyIdx = in.schema.fieldIndex("k")
-      in.rdd.mapPartitionsWithIndex { (pid, it) =>
-        Iterator.single(it.map(row => pidOf(pid, row.getLong(keyIdx))).toSet.size.toLong)
-      }.sum().toLong
+    val rs     = rounds(p, levels)
+    val routed = rs.init.zipWithIndex.foldLeft(df.repartition(p)) { case (in, (c, d)) =>
+      in.withColumn(s"_at$d", spark_partition_id()).repartitionById(p, c)
     }
+    val at    = (0 until levels - 1).map(d => col(s"_at$d")) :+ spark_partition_id() :+ rs.last
+    val pairs = routed.select(at: _*).rdd.mapPartitions { it =>
+      it.flatMap(row => (0 until levels).map(d => (d, row.getInt(d), row.getInt(d + 1)))).toSet.iterator
+    }.collect().toSet
+    (0 until levels).map(d => pairs.count(_._1 == d).toLong)
   }
 
   /** `roundFiles` at two levels as a pair, kept for the benchmark's caller. */

@@ -20,7 +20,7 @@ final case class WorkerConfig(memoryMiB: Int) {
     * A single thread can never exceed one vCPU; more threads unlock the
     * remaining share on >1792 MiB workers. Multi-threading on a share <= 1
     * only adds scheduling overhead (the paper observes this as Q1 getting
-    * *marginally cheaper* from 512 to 1796 MiB, Fig 10a).
+    * *marginally cheaper* from 512 to 1792 MiB, Fig 10a).
     */
   def relativeThroughput(threads: Int): Double = {
     require(threads >= 1, "at least one thread")
@@ -34,7 +34,7 @@ final case class WorkerConfig(memoryMiB: Int) {
   /** Memory-pressure efficiency of heavy scans (GZIP window + runtime
     * footprint): small workers lose a little throughput beyond the pure CPU
     * scaling. Calibrated so the 512 MiB configuration of Fig 10a is both
-    * slower *and* slightly more expensive than 1796 MiB.
+    * slower *and* slightly more expensive than 1792 MiB.
     */
   def scanEfficiency: Double =
     if (memoryMiB < 1024) LambdaModel.SmallMemoryScanEfficiency else 1.0

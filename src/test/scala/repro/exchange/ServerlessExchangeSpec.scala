@@ -66,29 +66,31 @@ class ServerlessExchangeSpec extends AnyFunSuite with PropSpec {
   }
 
   test("Table 2: measured requests equal the closed forms at P=729") {
+    // Each variant runs twice on one input: the second run must also return
+    // the first's output in the same order, whatever the workers' schedule.
     for (algo <- ExchangeModel.Algorithms) {
-      val counts = assertCorrect(729, algo.levels, algo.writeCombining, records = 4)
+      val input = randomInput(729, 4, seed = 729 * 31L + algo.levels)
+      def once() = ServerlessExchange.run(input, algo.levels, algo.writeCombining)
+      val first = once()
+      assert(first.data.map(_.sorted.toVector) == ServerlessExchange.expectedPlacement(input, 729),
+        s"${algo.label} placement")
+      val counts = first.requests
       assert(counts.gets == ExchangeModel.reads(algo, 729), s"${algo.label} gets")
       assert(counts.puts == ExchangeModel.writes(algo, 729), s"${algo.label} puts")
       assert(counts.lists == ExchangeModel.lists(algo, 729), s"${algo.label} lists")
+      assert(once().data.map(_.toVector) == first.data.map(_.toVector),
+        s"${algo.label}: output order differs between runs at P=729")
     }
   }
 
   // ---- concurrent workers -------------------------------------------------
 
-  private def assertRepeatable(p: Int, records: Int): Unit =
-    for (algo <- ExchangeModel.Algorithms) {
-      val input = randomInput(p, records, seed = p + algo.levels)
-      def once() = ServerlessExchange.run(input, algo.levels, algo.writeCombining).data.map(_.toVector)
-      assert(once() == once(), s"${algo.label}: output order differs between runs at P=$p")
-    }
-
   test("concurrent workers return identical, identically ordered output at P=64") {
-    assertRepeatable(64, 20)
-  }
-
-  test("concurrent workers return identical, identically ordered output at P=729") {
-    assertRepeatable(729, 4)
+    for (algo <- ExchangeModel.Algorithms) {
+      val input = randomInput(64, 20, seed = 64 + algo.levels)
+      def once() = ServerlessExchange.run(input, algo.levels, algo.writeCombining).data.map(_.toVector)
+      assert(once() == once(), s"${algo.label}: output order differs between runs at P=64")
+    }
   }
 
   test("a worker's failure reaches the caller as its own exception") {

@@ -1,5 +1,7 @@
 package repro.exchange
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
@@ -13,8 +15,9 @@ class SparkExchangeSpec extends SparkSpec {
     .withColumn("v", (col("v") * 1000).cast("long").cast("double"))
     .cache()
 
-  /** One exchange per route at P, shared by the tests below: each action
-    * reuses its shuffle outputs instead of routing the data again.
+  /** One exchange per route at P, shared by the tests below. Each test reads
+    * it through `.rdd`, which a DataFrame computes once, so every action
+    * reuses its shuffle outputs; a DataFrame action would route again.
     */
   private lazy val direct   = SparkExchange.direct(data, P)
   private lazy val twoLevel = SparkExchange.twoLevel(data, P)
@@ -37,8 +40,8 @@ class SparkExchangeSpec extends SparkSpec {
   }
 
   test("no records are lost or duplicated by the grid route") {
-    assert(twoLevel.count() == data.count())
-    val sums = twoLevel.agg(sum("v")).head.getDouble(0)
+    assert(twoLevel.rdd.count() == data.count())
+    val sums = twoLevel.rdd.map(_.getAs[Double]("v")).sum()
     assert(sums == data.agg(sum("v")).head.getDouble(0))
   }
 
@@ -50,9 +53,19 @@ class SparkExchangeSpec extends SparkSpec {
     assert(r1 + r2 < P.toLong * P, "strictly fewer pairs than the quadratic basic exchange")
   }
 
+  /** Distinct shuffles in an RDD's lineage. */
+  private def shuffles(rdd: RDD[_]): Set[Int] =
+    rdd.dependencies.flatMap {
+      case s: ShuffleDependency[_, _, _] => shuffles(s.rdd) + s.shuffleId
+      case d                             => shuffles(d.rdd)
+    }.toSet
+
   test("shuffle-free aggregation over the exchanged data matches DuckDB") {
-    val aggregated = SparkExchange.localAggregate(spark, twoLevel)
-      .select(col("k"), round(col("sum_v"), 4) as "sum_v")
+    val local = SparkExchange.localAggregate(spark, twoLevel)
+    // One round-robin shuffle and one per round, and none added by the aggregate.
+    assert(shuffles(twoLevel.rdd).size == 3)
+    assert(shuffles(local.rdd) == shuffles(twoLevel.rdd))
+    val aggregated = local.select(col("k"), round(col("sum_v"), 4) as "sum_v")
     Oracle.assertEquivalent(
       aggregated,
       "SELECT CAST(k AS BIGINT) AS k, round(sum(CAST(v AS DOUBLE)), 4) AS sum_v " +
@@ -72,7 +85,7 @@ class SparkExchangeSpec extends SparkSpec {
       .withColumn("v", (col("v") * 100).cast("long").cast("double"))
     val exchanged = SparkExchange.twoLevel(skewed, P)
     assert(SparkExchange.misplacedCount(exchanged, P) == 0)
-    assert(exchanged.count() == 3000)
+    assert(exchanged.rdd.count() == 3000)
   }
 
   /** Each partition's rows as placed on the driver by `targetPartition`:
