@@ -2,18 +2,21 @@ package repro.jobs
 
 import java.io.{OutputStream, PrintStream}
 import java.nio.charset.StandardCharsets.UTF_8
+import java.nio.file.Files
 
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
 import repro.SynthData
 import repro.coldstore.ColdStore
 import repro.report.Tables
+import repro.scan.ParquetLayout
 
 /** Shared by the two entry points: `AllTablesJob` prints the model-based
-  * artifacts of `Tables.all`, which need no SparkSession; `Fig10Job` can
-  * first write a real cold store with Spark and feed its measured layout to
-  * the simulation. Both print each artifact under a `### <id>` line, in
-  * UTF-8 whatever the host's locale.
+  * artifacts of `Tables.all`, which need no SparkSession; `ColdStoreJob`
+  * writes a real cold store with Spark and prints the artifacts measured on
+  * it. Both print each artifact under a `### <id>` line, in UTF-8 whatever
+  * the host's locale.
   */
 object JobSupport {
 
@@ -23,13 +26,6 @@ object JobSupport {
       .appName(app)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  /** Write a cold store at `sf` and return measured column fractions. */
-  def measuredFractions(spark: SparkSession, sf: Double): Map[String, Double] = {
-    val dir = java.nio.file.Files.createTempDirectory("coldstore").toString + "/lineitem"
-    ColdStore.write(SynthData.lineitem(spark, sf), dir, nFiles = 32)
-    ColdStore.columnFractions(ColdStore.layout(dir))
-  }
 
   /** Each artifact as a `### <id>` line, the table and a blank line, encoded
     * as UTF-8: the format of `src/test/resources/contract/tables.txt`. Each
@@ -63,17 +59,33 @@ object AllTablesJob {
     JobSupport.print(select(Tables.all, args.toSeq), System.out)
 }
 
-/** `Fig10Job [sf]` prints Fig 10. With a scale factor it first writes a real
-  * cold store at that SF and sweeps with its measured column fractions; with
-  * none it uses the synthetic SF 1000 layout, as `AllTablesJob fig10` does.
+/** `ColdStoreJob [sf]` writes LINEITEM at scale factor `sf` (default 0.1)
+  * as a 32-file cold store in a temporary directory, prints the artifacts
+  * measured on it, and deletes it.
   */
-object Fig10Job {
+object ColdStoreJob {
+
+  /** The artifacts measured on the cold store at `dir`: Fig 10 swept with
+    * its column fractions, and Fig 11's real scan tasks. Renders nothing.
+    */
+  def artifacts(spark: SparkSession, dir: String): Seq[(String, () => String)] = Seq(
+    "fig10-measured" -> (() => {
+      val fractions = ColdStore.columnFractions(ColdStore.layout(dir))
+      Tables.renderFig10(Tables.fig10Rows(ParquetLayout.lineitemSf1000(fractions), fractions))
+    }),
+    "fig11-tasks" -> (() => Tables.renderFig11Tasks(Tables.fig11TaskRows(spark, dir))),
+  )
+
   def main(args: Array[String]): Unit = {
-    val fractions = args.headOption.map { sf =>
-      val spark = JobSupport.localSpark("fig10")
-      try JobSupport.measuredFractions(spark, sf.toDouble) finally spark.stop()
-    }.getOrElse(repro.scan.ParquetLayout.LineitemColumnFractions)
-    JobSupport.print(Seq("fig10" -> (() => Tables.renderFig10(Tables.fig10Rows(
-      repro.scan.ParquetLayout.lineitemSf1000(fractions), fractions)))), System.out)
+    val sf   = args.headOption.fold(0.1)(_.toDouble)
+    val root = Files.createTempDirectory("coldstore")
+    try {
+      val spark = JobSupport.localSpark("coldstore")
+      try {
+        val dir = s"$root/lineitem"
+        ColdStore.write(SynthData.lineitem(spark, sf), dir, nFiles = 32)
+        JobSupport.print(artifacts(spark, dir), System.out)
+      } finally spark.stop()
+    } finally FileUtils.deleteDirectory(root.toFile)
   }
 }

@@ -1,8 +1,8 @@
 package repro.report
 
-/** Tiny plain-text table renderer shared by the bench suites and the
-  * spark-submit jobs, so every reproduced artifact prints in one consistent
-  * format that can be diffed against EXPERIMENTS.md.
+/** Tiny plain-text table renderer shared by every artifact that the
+  * spark-submit jobs print, so each one prints in one consistent format that
+  * can be diffed against EXPERIMENTS.md.
   */
 object Report {
 

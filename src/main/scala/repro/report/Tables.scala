@@ -1,17 +1,20 @@
 package repro.report
 
+import org.apache.spark.sql.{Column, SparkSession}
+import org.apache.spark.sql.functions.{col, lit, sum}
+
 import repro.core.{LambadaConfig, LambadaSim, Queries, QueryRun}
 import repro.exchange.{ExchangeAlgo, ExchangeModel, ExchangeRun, ExchangeSim, MemS3, ServerlessExchange}
 import repro.invoke.Invoker
 import repro.model.{LambdaModel, Pricing, S3Model, WorkerConfig}
 import repro.qaas.{Athena, BigQuery}
 import repro.scan.{ParquetFile, ParquetLayout, QueryProfile, ScanModel}
-import repro.sched.ExecutorModel
+import repro.sched.{ExecutorModel, TaskMetrics, TaskRecord}
 
 /** Builders for every reproduced table/figure. Each artifact has a data
-  * function (asserted on by `TablesSpec` and the `bench/` suites) and a
-  * `render*` function (printed by the spark-submit jobs, with the paper's
-  * numbers alongside ours).
+  * function (asserted on by the tier-1 specs) and a `render*` function
+  * (printed by the spark-submit jobs, with the paper's numbers alongside
+  * ours).
   */
 object Tables {
 
@@ -272,6 +275,43 @@ object Tables {
     Seq("query", "workers", "pruned", "fast-class median[s]", "slow-class median[s]"),
     data.map(d => Seq(d.query, d.run.workers.toString, Report.pct(d.prunedFraction),
       Report.f2(d.fastClassMedian), Report.f2(d.slowClassMedian))))
+
+  /** One query's filtered scan of a real cold store: the tasks of its scan stage. */
+  final case class Fig11TaskRow(query: String, tasks: Vector[TaskRecord]) {
+    def recordsRead: Long = tasks.map(_.recordsRead).sum
+    /** The share of tasks that read no record, because row-group min/max
+      * pushdown skipped their whole file: the executor-model twin of the
+      * paper's metadata-only workers.
+      */
+    def zeroRecordShare: Double = tasks.count(_.recordsRead == 0).toDouble / tasks.size
+  }
+
+  /** Q1's and Q6's shipdate filters as real Spark scans of the cold store at
+    * `dir`, one task per file as the paper has one worker per file. Runs in
+    * a new session, so the caller's file-split settings stay as they are.
+    */
+  def fig11TaskRows(spark: SparkSession, dir: String): Seq[Fig11TaskRow] = {
+    val session = spark.newSession()
+    session.conf.set("spark.sql.files.maxPartitionBytes", 1024L * 1024)
+    session.conf.set("spark.sql.files.openCostInBytes", 128L * 1024 * 1024)
+    // The scan stage is the one with the most tasks (one per file split).
+    def scanTasks(filter: Column): Vector[TaskRecord] = TaskMetrics.collect(session) {
+      session.read.parquet(dir).filter(filter).agg(sum("l_extendedprice")).collect()
+    }.groupBy(_.stageId).maxBy(_._2.size)._2
+    val shipdate = col("l_shipdate")
+    def day(iso: String): Column = lit(iso).cast("date")
+    Seq(
+      Fig11TaskRow("Q1", scanTasks(shipdate <= day(Queries.Q1CutoffDate))),
+      Fig11TaskRow("Q6",
+        scanTasks(shipdate >= day(Queries.Q6DateLo) && shipdate < day(Queries.Q6DateHi))),
+    )
+  }
+
+  def renderFig11Tasks(rows: Seq[Fig11TaskRow]): String = Report.table(
+    "Fig 11 (real Spark tasks over the cold store, one per file)",
+    Seq("query", "scan tasks", "records read", "zero-record (pruned) task share"),
+    rows.map(r => Seq(r.query, r.tasks.size.toString, r.recordsRead.toString,
+      Report.pct(r.zeroRecordShare))))
 
   // =====================================================================
   // Fig 12 — Lambada vs Athena vs BigQuery

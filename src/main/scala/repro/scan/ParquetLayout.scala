@@ -41,9 +41,9 @@ object ParquetLayout {
     * The paper modifies dbgen so *all 16* TPC-H columns are numbers
     * (Section 5.1); these fractions approximate the gzip Parquet footprint
     * of that 16-column table, so the default layout matches the paper's
-    * per-query byte fractions (Q1 reads ~41 %, Q6 ~33 % of a file). The
-    * benches additionally derive fractions *measured* from the real
-    * 10-column cold-store files for the laptop-scale experiments.
+    * per-query byte fractions (Q1 reads ~41 %, Q6 ~33 % of a file).
+    * `ColdStoreJob` and `LambadaSimSpec` also use fractions *measured* from
+    * the real 10-column cold-store files.
     */
   val LineitemColumnFractions: Map[String, Double] = Map(
     "l_orderkey"      -> 0.09,

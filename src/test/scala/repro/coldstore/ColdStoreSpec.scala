@@ -2,13 +2,11 @@ package repro.coldstore
 
 import org.apache.spark.sql.functions._
 
-import repro.{ColdStoreFixture, Oracle, SparkSpec}
-import repro.ColdStoreFixture.NFiles
+import repro.{Oracle, SparkSpec}
+import repro.ColdStoreFixture.{NFiles, dir}
 import repro.core.Queries
 
 class ColdStoreSpec extends SparkSpec {
-
-  private lazy val dir: String = ColdStoreFixture.dir(this)
 
   private lazy val stats = ColdStore.catalog(dir)
 

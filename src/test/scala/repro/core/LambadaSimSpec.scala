@@ -1,11 +1,11 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-
+import repro.{ColdStoreFixture, SparkSpec}
+import repro.coldstore.ColdStore
 import repro.report.PaperNumbers
 import repro.scan.ParquetLayout
 
-class LambadaSimSpec extends AnyFunSuite {
+class LambadaSimSpec extends SparkSpec {
 
   private val files = ParquetLayout.lineitemSf1000()
   /** The SF 10k layout Fig 12 renders. */
@@ -14,6 +14,20 @@ class LambadaSimSpec extends AnyFunSuite {
   private def q1(config: LambadaConfig) = LambadaSim.run(files, Queries.Q1Profile, config)
   private def q6(config: LambadaConfig) = LambadaSim.run(files, Queries.Q6Profile, config)
 
+  /** Fig 10a's claims hold for the dbgen-16 column fractions and for those
+    * measured on the shared cold store. Runs `claim` once per input, with Q1
+    * over the SF 1000 layout built from that input's fractions.
+    */
+  private def fig10a(claim: (LambadaConfig => QueryRun) => Unit): Unit = Seq(
+    "dbgen-16" -> ParquetLayout.LineitemColumnFractions,
+    "measured" -> ColdStore.columnFractions(ColdStore.layout(ColdStoreFixture.dir)),
+  ).foreach { case (input, fractions) =>
+    val layout = ParquetLayout.lineitemSf1000(fractions)
+    withClue(s"$input fractions:") {
+      claim(config => LambadaSim.run(layout, Queries.Q1Profile, config, fractions))
+    }
+  }
+
   test("F=1 uses one worker per file: 320 workers at SF 1000 (Section 5.2)") {
     assert(q1(LambadaConfig(1792, 1)).workers == 320)
     assert(q1(LambadaConfig(1792, 4)).workers == 80)
@@ -21,23 +35,29 @@ class LambadaSimSpec extends AnyFunSuite {
   }
 
   test("Fig 10a: growing memory 512 -> 1792 MiB is significantly faster") {
-    val slow = q1(LambadaConfig(512, 1)).latencySeconds
-    val fast = q1(LambadaConfig(1792, 1)).latencySeconds
-    assert(slow / fast > 2.0, s"$slow vs $fast")
+    fig10a { q1 =>
+      val slow = q1(LambadaConfig(512, 1)).latencySeconds
+      val fast = q1(LambadaConfig(1792, 1)).latencySeconds
+      assert(slow / fast > 2.0, s"$slow vs $fast")
+    }
   }
 
   test("Fig 10a: 1792 MiB is marginally cheaper than 512 MiB") {
-    val c512  = q1(LambadaConfig(512, 1)).dollars
-    val c1792 = q1(LambadaConfig(1792, 1)).dollars
-    assert(c1792 < c512, s"$c1792 vs $c512")
-    assert(c1792 > 0.6 * c512, "marginal, not dramatic")
+    fig10a { q1 =>
+      val c512  = q1(LambadaConfig(512, 1)).dollars
+      val c1792 = q1(LambadaConfig(1792, 1)).dollars
+      assert(c1792 < c512, s"$c1792 vs $c512")
+      assert(c1792 > 0.6 * c512, "marginal, not dramatic")
+    }
   }
 
   test("Fig 10a: beyond 1792 MiB the price rises without real speed gains") {
-    val base = q1(LambadaConfig(1792, 1))
-    val big  = q1(LambadaConfig(3008, 1))
-    assert(big.dollars > 1.25 * base.dollars)
-    assert(big.latencySeconds > 0.9 * base.latencySeconds)
+    fig10a { q1 =>
+      val base = q1(LambadaConfig(1792, 1))
+      val big  = q1(LambadaConfig(3008, 1))
+      assert(big.dollars > 1.25 * base.dollars)
+      assert(big.latencySeconds > 0.9 * base.latencySeconds)
+    }
   }
 
   test("Fig 10b: fewer files per worker is faster but more expensive") {

@@ -5,13 +5,14 @@ import java.nio.charset.StandardCharsets.UTF_8
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.{ColdStoreFixture, SparkSpec}
 
-/** The artifact entry point on a small fake artifact list: selection by id
-  * and the `### <id>` UTF-8 writer, without rendering `Tables.all`. Each fake
-  * render records its id in `rendered` when it runs.
+/** The artifact entry points: selection by id and the `### <id>` UTF-8
+  * writer on a small fake artifact list, without rendering `Tables.all`
+  * (each fake render records its id in `rendered` when it runs), and
+  * `ColdStoreJob`'s artifacts on the shared cold store.
   */
-class JobsSpec extends AnyFunSuite {
+class JobsSpec extends SparkSpec {
 
   private val rendered = ArrayBuffer.empty[String]
   private val fake: Seq[(String, () => String)] =
@@ -46,5 +47,20 @@ class JobsSpec extends AnyFunSuite {
     JobSupport.print(fake.take(2), out)
     assert(new String(out.toByteArray, UTF_8) == "### table1\nt1\n\n### fig5\nf5 \u2014 dash\n\n")
     assert(out.toByteArray.containsSlice(Array(0xE2, 0x80, 0x94).map(_.toByte)))
+  }
+
+  test("ColdStoreJob prints Fig 10 with measured fractions and Fig 11's scan tasks, one per file") {
+    val out = new ByteArrayOutputStream
+    JobSupport.print(ColdStoreJob.artifacts(spark, ColdStoreFixture.dir), out)
+    val blocks = new String(out.toByteArray, UTF_8).split("\n\n").toSeq.map(_.split("\n").toSeq)
+    assert(blocks.map(_.head) == Seq("### fig10-measured", "### fig11-tasks"))
+    val Seq(fig10, fig11) = blocks
+    assert(fig10(1).startsWith("== Fig 10:"))
+    assert(fig10.size == 4 + 15, "the id, a title, a header, a rule and the 5 x 3 sweep")
+    val perFile = ColdStoreFixture.NFiles.toString
+    val scanTasks = fig11.map(_.split(" +").toSeq).collect {
+      case Seq(q @ ("Q1" | "Q6"), tasks, _*) => q -> tasks
+    }
+    assert(scanTasks == Seq("Q1" -> perFile, "Q6" -> perFile))
   }
 }

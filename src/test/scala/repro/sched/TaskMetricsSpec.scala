@@ -1,10 +1,10 @@
 package repro.sched
 
-import repro.{ColdStoreFixture, SparkSpec}
+import repro.SparkSpec
+import repro.ColdStoreFixture.dir
+import repro.report.Tables
 
 class TaskMetricsSpec extends SparkSpec {
-
-  private lazy val dir: String = ColdStoreFixture.dir(this)
 
   test("collect returns a record per executed task with positive durations") {
     val records = TaskMetrics.collect(spark) {
@@ -34,5 +34,14 @@ class TaskMetricsSpec extends SparkSpec {
     }
     assert(records.size == 3)
     assert(records.map(_.stageId).distinct.size == 1)
+  }
+
+  test("Fig 11 (real Spark tasks): pushdown leaves most of Q6's scan tasks metadata-only") {
+    val Seq(q1, q6) = Tables.fig11TaskRows(spark, dir)
+    assert(q1.tasks.nonEmpty && q6.tasks.nonEmpty)
+    assert(q6.recordsRead < 0.5 * q1.recordsRead,
+      "row-group pushdown lets Q6's tasks skip most of the data")
+    assert(q6.zeroRecordShare > 0.5,
+      "most Q6 tasks read no record, like the paper's pruned workers")
   }
 }
