@@ -4,8 +4,11 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic input data, deterministic in (sf or rows, seed) so the DuckDB
-  * oracle sees identical input.
+/** Synthetic input data, deterministic in (sf or rows, seed) and the
+  * session's default parallelism, so the DuckDB oracle sees identical input.
+  * Each generator's rows depend on that parallelism: `spark.range` splits
+  * into `defaultParallelism` partitions and `rand(seed)` seeds each
+  * partition apart, so a master with another core count gives other rows.
   *
   * `lineitem` is a TPC-H-like `lineitem` at a configurable scale factor:
   * SF=1.0 has TPC-H SF1's 6 M rows: the columns Q1 and Q6 read, a line

@@ -137,13 +137,4 @@ object ColdStore {
           b.getColumns.asScala.toVector.map(c => ColumnChunk(c.getPath.toDotString, c.getTotalSize)))
       })
     }
-
-  /** Measured per-column fraction of compressed bytes across a layout. */
-  def columnFractions(layout: Seq[ParquetFile]): Map[String, Double] = {
-    val byCol = layout.flatMap(_.rowGroups).flatMap(_.chunks)
-      .groupMapReduce(_.column)(_.bytes)(_ + _)
-    val total = byCol.values.sum.toDouble
-    require(total > 0, "empty layout")
-    byCol.map { case (c, b) => c -> b / total }
-  }
 }

@@ -1,16 +1,16 @@
 package repro.core
 
 import repro.invoke.Invoker
-import repro.model.{LambdaModel, Pricing, Region, WorkerConfig}
-import repro.scan.{ParquetFile, ParquetLayout, QueryProfile, ScanModel, WorkerScan}
+import repro.model.{LambdaModel, Pricing, WorkerConfig}
+import repro.scan.{ParquetFile, QueryProfile, ScanModel, WorkerScan}
 
 /** One Lambada query execution configuration (the knobs of Section 5.2):
-  * worker memory `M`, files per worker `F`, target region, cold vs hot.
+  * worker memory `M`, files per worker `F`, cold vs hot. Queries run in
+  * Fig 5's region, `LambdaModel.Eu`.
   */
 final case class LambadaConfig(
     memoryMiB: Int = 1792,
     filesPerWorker: Int = 1,
-    region: Region = LambdaModel.Eu,
     cold: Boolean = false,
     seed: Long = 42L,
 ) {
@@ -63,24 +63,19 @@ object LambadaSim {
   }
 
   /** Run `profile` over `files` with `config`. */
-  def run(
-      files: Vector[ParquetFile],
-      profile: QueryProfile,
-      config: LambadaConfig,
-      columnFractions: Map[String, Double] = ParquetLayout.LineitemColumnFractions,
-  ): QueryRun = {
+  def run(files: Vector[ParquetFile], profile: QueryProfile, config: LambadaConfig): QueryRun = {
     require(files.nonEmpty, "no input files")
     val groups  = files.grouped(config.filesPerWorker).toVector
     val workers = groups.size
     val slowdown = if (config.cold) LambdaModel.ColdRunSlowdown else 1.0
 
     val scans: Vector[WorkerScan] =
-      groups.map(g => ScanModel.workerScan(g, profile, config.worker, columnFractions))
+      groups.map(g => ScanModel.workerScan(g, profile, config.worker))
     val billedSeconds: Vector[Double] = scans.zipWithIndex.map { case (s, i) =>
       s.seconds * slowdown * (1.0 + jitter(config.seed, i))
     }
 
-    val timeline = Invoker.timeline(workers, config.region, config.cold)
+    val timeline = Invoker.timeline(workers, LambdaModel.Eu, config.cold)
     // Workers start as their invocation lands; query ends when the last one
     // posts its result and the driver drains the queue.
     val finishes = timeline.runningAt.zip(billedSeconds).map { case (start, dur) => start + dur }
@@ -104,20 +99,17 @@ object LambadaSim {
     )
   }
 
-  /** The Fig 10 sweep: hot and cold runs over memory sizes and files/worker. */
-  def workerConfigSweep(
-      files: Vector[ParquetFile],
-      profile: QueryProfile,
-      memories: Seq[Int] = Seq(512, 1024, 1792, 2048, 3008),
-      filesPerWorker: Seq[Int] = Seq(1, 2, 4),
-      columnFractions: Map[String, Double] = ParquetLayout.LineitemColumnFractions,
-  ): Seq[(QueryRun, QueryRun)] =
+  /** The Fig 10 sweep: hot and cold runs over Fig 10's axes, worker memory
+    * M [MiB] and files per worker F.
+    */
+  def workerConfigSweep(files: Vector[ParquetFile], profile: QueryProfile)
+      : Seq[(QueryRun, QueryRun)] =
     for {
-      m <- memories
-      f <- filesPerWorker
+      m <- Seq(512, 1024, 1792, 2048, 3008)
+      f <- Seq(1, 2, 4)
     } yield {
-      val cold = run(files, profile, LambadaConfig(m, f, cold = true), columnFractions)
-      val hot  = run(files, profile, LambadaConfig(m, f, cold = false), columnFractions)
+      val cold = run(files, profile, LambadaConfig(m, f, cold = true))
+      val hot  = run(files, profile, LambadaConfig(m, f, cold = false))
       (cold, hot)
     }
 }

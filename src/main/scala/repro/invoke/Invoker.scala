@@ -71,7 +71,11 @@ object Invoker {
     InvocationTimeline(builder.result())
   }
 
-  /** One-level scheme: the driver invokes all `p` workers itself. */
+  /** One-level scheme: the driver invokes all `p` workers itself. Its
+    * `lastInitiatedAt` is the time the driver alone needs just to *issue* `p`
+    * invocations — the paper's "13 s to 18 s" for 4096 workers that
+    * motivates the tree.
+    */
   def oneLevel(p: Int, region: Region, cold: Boolean = true): InvocationTimeline =
     tree(p, p, region, cold)
 
@@ -80,12 +84,6 @@ object Invoker {
     */
   def twoLevel(p: Int, region: Region, cold: Boolean = true): InvocationTimeline =
     tree(p, math.max(1, math.ceil(math.sqrt(p.toDouble)).toInt), region, cold)
-
-  /** Seconds the driver alone would need just to *issue* `p` invocations —
-    * the paper's "13 s to 18 s" for 4096 workers that motivates the tree.
-    */
-  def driverOnlyIssueSeconds(p: Int, region: Region): Double =
-    p / region.concurrentRate(LambdaModel.DriverInvokerThreads)
 
   /** The invocation scheme the simulations use for `p` workers: the driver
     * alone up to 64 workers, the two-level tree above.

@@ -42,8 +42,8 @@ object ParquetLayout {
     * (Section 5.1); these fractions approximate the gzip Parquet footprint
     * of that 16-column table, so the default layout matches the paper's
     * per-query byte fractions (Q1 reads ~41 %, Q6 ~33 % of a file).
-    * `ColdStoreJob` and `LambadaSimSpec` also use fractions *measured* from
-    * the real 10-column cold-store files.
+    * `ColdStoreJob` and `LambadaSimSpec` also build layouts from fractions
+    * *measured* on the real 10-column cold-store files with `columnFractions`.
     */
   val LineitemColumnFractions: Map[String, Double] = Map(
     "l_orderkey"      -> 0.09,
@@ -97,6 +97,15 @@ object ParquetLayout {
   def lineitemSf1000(columnFractions: Map[String, Double] = LineitemColumnFractions)
       : Vector[ParquetFile] =
     sortedTable(nFiles = 320, totalBytes = (151L * 1024 * 1024 * 1024), columnFractions)
+
+  /** Per-column fraction of the compressed column-chunk bytes across `files`. */
+  def columnFractions(files: Seq[ParquetFile]): Map[String, Double] = {
+    val byCol = files.flatMap(_.rowGroups).flatMap(_.chunks)
+      .groupMapReduce(_.column)(_.bytes)(_ + _)
+    val total = byCol.values.sum.toDouble
+    require(total > 0, "empty layout")
+    byCol.map { case (c, b) => c -> b / total }
+  }
 
   /** SF 10000 = the SF 1000 files replicated ten times (Section 5.1). */
   def lineitemSf10000(sf1000: Vector[ParquetFile] = lineitemSf1000()): Vector[ParquetFile] =

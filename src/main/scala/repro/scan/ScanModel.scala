@@ -64,7 +64,6 @@ object ScanModel {
       files: Seq[ParquetFile],
       profile: QueryProfile,
       config: WorkerConfig,
-      columnFractions: Map[String, Double] = ParquetLayout.LineitemColumnFractions,
   ): WorkerScan = {
     require(files.nonEmpty, "worker needs at least one file")
     val net = S3Model.sustainedMiBps(config.memoryMiB)

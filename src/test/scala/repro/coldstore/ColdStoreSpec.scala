@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.ColdStoreFixture.{NFiles, dir}
 import repro.core.Queries
+import repro.scan.ParquetLayout
 
 class ColdStoreSpec extends SparkSpec {
 
@@ -92,7 +93,7 @@ class ColdStoreSpec extends SparkSpec {
   }
 
   test("measured column fractions sum to one and include every column") {
-    val fractions = ColdStore.columnFractions(ColdStore.layout(dir))
+    val fractions = ParquetLayout.columnFractions(ColdStore.layout(dir))
     assert(math.abs(fractions.values.sum - 1.0) < 1e-9)
     assert(fractions.keySet == spark.read.parquet(dir).columns.toSet)
     assert(fractions.values.forall(_ > 0))

@@ -20,11 +20,11 @@ class LambadaSimSpec extends SparkSpec {
     */
   private def fig10a(claim: (LambadaConfig => QueryRun) => Unit): Unit = Seq(
     "dbgen-16" -> ParquetLayout.LineitemColumnFractions,
-    "measured" -> ColdStore.columnFractions(ColdStore.layout(ColdStoreFixture.dir)),
+    "measured" -> ParquetLayout.columnFractions(ColdStore.layout(ColdStoreFixture.dir)),
   ).foreach { case (input, fractions) =>
     val layout = ParquetLayout.lineitemSf1000(fractions)
     withClue(s"$input fractions:") {
-      claim(config => LambadaSim.run(layout, Queries.Q1Profile, config, fractions))
+      claim(config => LambadaSim.run(layout, Queries.Q1Profile, config))
     }
   }
 

@@ -10,14 +10,14 @@ import repro.report.PaperNumbers
 class InvokerSpec extends AnyFunSuite with PropSpec {
 
   test("driver-only: 1000 workers take 3.4 s to 4.4 s to issue (Section 4.2)") {
-    val times = LambdaModel.Regions.map(r => Invoker.driverOnlyIssueSeconds(1000, r))
+    val times = LambdaModel.Regions.map(r => Invoker.oneLevel(1000, r).lastInitiatedAt)
     assert(times.min >= 3.3 && times.max <= 4.6, times)
   }
 
   test("driver-only: 4096 workers would take 13 s to 18 s (Fig 5 discussion)") {
-    val times = LambdaModel.Regions.map(r => Invoker.driverOnlyIssueSeconds(4096, r))
+    val times = LambdaModel.Regions.map(r => Invoker.oneLevel(4096, r).lastInitiatedAt)
     assert(times.min >= 13.0 && times.max <= 19.0, times)
-    val eu = Invoker.driverOnlyIssueSeconds(4096, LambdaModel.Eu)
+    val eu = Invoker.oneLevel(4096, LambdaModel.Eu).lastInitiatedAt
     assert(eu > 13.0 && eu < 18.0,
       s"Fig 5's region: paper ${PaperNumbers.Fig5DriverOnlySecondsRange}, ours $eu")
   }
@@ -25,7 +25,7 @@ class InvokerSpec extends AnyFunSuite with PropSpec {
   test("two-level: last of 4096 invocations initiated far sooner than driver-only") {
     val tl = Invoker.twoLevel(4096, LambdaModel.Eu, cold = true)
     assert(tl.lastInitiatedAt < 3.0, "paper: ~2.5 s")
-    assert(tl.lastInitiatedAt < Invoker.driverOnlyIssueSeconds(4096, LambdaModel.Eu) / 4)
+    assert(tl.lastInitiatedAt < Invoker.oneLevel(4096, LambdaModel.Eu).lastInitiatedAt / 4)
   }
 
   test("two-level: all 4096 workers running in under 4 s cold (abstract: 4k in 3 s)") {

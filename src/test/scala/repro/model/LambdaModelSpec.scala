@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropSpec
+import repro.report.PaperNumbers
 
 class LambdaModelSpec extends AnyFunSuite with PropSpec {
 
@@ -58,9 +59,11 @@ class LambdaModelSpec extends AnyFunSuite with PropSpec {
   }
 
   test("Table 1: 128-thread concurrent rates match the paper in every region") {
-    val expected = Map("eu" -> 294.0, "us" -> 276.0, "sa" -> 243.0, "ap" -> 222.0)
     LambdaModel.Regions.foreach { r =>
-      assert(r.concurrentRate(128) == expected(r.name), r.name)
+      val (pMs, pRate, pIntra) = PaperNumbers.Table1(r.name)
+      assert(r.singleInvokeSeconds * 1000 == pMs, r.name)
+      assert(r.concurrentRate(LambdaModel.DriverInvokerThreads) == pRate, r.name)
+      assert(r.workerInvokeRate == pIntra, r.name)
     }
   }
 

@@ -12,6 +12,13 @@ class ParquetLayoutSpec extends AnyFunSuite with PropSpec {
     assert(math.abs(ParquetLayout.LineitemColumnFractions.values.sum - 1.0) < 1e-9)
   }
 
+  test("columnFractions recovers the dbgen-16 fractions the SF 1000 layout is built from") {
+    val f        = ParquetLayout.LineitemColumnFractions
+    val measured = ParquetLayout.columnFractions(ParquetLayout.lineitemSf1000(f))
+    assert(measured.keySet == f.keySet)
+    f.foreach { case (c, x) => assert(math.abs(measured(c) - x) < 1e-6, c) }
+  }
+
   test("SF 1000 layout: 320 files of ~151 GiB total (Section 5.1)") {
     val files = ParquetLayout.lineitemSf1000()
     assert(files.size == 320)

@@ -68,6 +68,9 @@ class ExecutorModelSpec extends AnyFunSuite {
       s"break-even at $breakEven q/h should be a 'moderate' load")
     val beyond = ExecutorModel.fig1bHourlyUsd(tb, 10.0, breakEven * 2)
     assert(beyond("faas") > beyond.values.min)
+    // Fig 1b's busiest column: an always-on IaaS tier is the cheapest.
+    val busy = ExecutorModel.fig1bHourlyUsd(tb, 10.0, 100)
+    assert(busy.minBy(_._2)._1.startsWith("iaas"), busy)
   }
 
   test("Fig 1b: QaaS is always pricier per query than FaaS on this scan") {
