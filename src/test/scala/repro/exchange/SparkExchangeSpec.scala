@@ -62,8 +62,9 @@ class SparkExchangeSpec extends SparkSpec {
 
   test("shuffle-free aggregation over the exchanged data matches DuckDB") {
     val local = SparkExchange.localAggregate(spark, twoLevel)
-    // One round-robin shuffle and one per round, and none added by the aggregate.
-    assert(shuffles(twoLevel.rdd).size == 3)
+    // One shuffle per round, none before round 1 and none added by the aggregate.
+    assert(shuffles(direct.rdd).size == 1)
+    assert(shuffles(twoLevel.rdd).size == 2)
     assert(shuffles(local.rdd) == shuffles(twoLevel.rdd))
     val aggregated = local.select(col("k"), round(col("sum_v"), 4) as "sum_v")
     Oracle.assertEquivalent(
@@ -102,17 +103,24 @@ class SparkExchangeSpec extends SparkSpec {
       val (got, want) = (partitionContents(SparkExchange.exchange(data, p, k)), hashPlacement(p))
       val wrong = (0 until p).filter(pid => got.get(pid) != want.get(pid))
       assert(got.size == p && wrong.isEmpty, s"P=$p, k=$k: partitions $wrong hold other rows")
-      if (k > 1) { // at k = 1 the bound, P * P pairs, holds for any placement
-        val files = SparkExchange.roundFiles(data, p, k)
-        val grid  = Grid(p, k)
-        assert(files.size == k, s"P=$p, k=$k")
-        files.zipWithIndex.foreach { case (n, r) =>
-          assert(n <= p.toLong * grid.radices(r), s"P=$p, k=$k, round ${r + 1}: $n files")
-        }
-        // Pinned: both rounds of the 4 x 4 grid reach the bound of 16 * 4 pairs.
-        if (p == 16 && k == 2) assert(files == Seq(64L, 64L))
+      val files = SparkExchange.roundFiles(data, p, k)
+      val grid  = Grid(p, k)
+      assert(files.size == k, s"P=$p, k=$k")
+      files.zipWithIndex.foreach { case (n, r) =>
+        assert(n <= p.toLong * grid.radices(r), s"P=$p, k=$k, round ${r + 1}: $n files")
       }
+      // Pinned at P = 16, every round reaches its bound: at k = 1 all 16 * 16
+      // (sender, target) pairs, which senders read off the input's partitions
+      // (4 on 4 cores) could not reach, and 16 * 4 in both rounds of the 4 x 4 grid.
+      if (p == 16 && k == 1) assert(files == Seq(256L))
+      if (p == 16 && k == 2) assert(files == Seq(64L, 64L))
     }
+  }
+
+  test("the senders, and so every round's pairs, do not depend on the input's partitioning") {
+    val reparted = data.repartition(3)
+    assert(SparkExchange.roundFiles(reparted, P, 2) == SparkExchange.roundFiles(data, P, 2))
+    assert(partitionContents(SparkExchange.exchange(reparted, P, 2)) == partitionContents(twoLevel))
   }
 
   test("targetPartition agrees with the serverless exchange's partitioner") {
