@@ -7,7 +7,7 @@ import java.nio.file.Files
 import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
-import repro.SynthData
+import repro.{LocalSpark, SynthData}
 import repro.coldstore.ColdStore
 import repro.report.Tables
 import repro.scan.ParquetLayout
@@ -19,13 +19,6 @@ import repro.scan.ParquetLayout
   * the host's locale.
   */
 object JobSupport {
-
-  def localSpark(app: String): SparkSession =
-    SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
 
   /** Each artifact as a `### <id>` line, the table and a blank line, encoded
     * as UTF-8: the format of `src/test/resources/contract/tables.txt`. Each
@@ -79,7 +72,7 @@ object ColdStoreJob {
     val sf   = args.headOption.fold(0.1)(_.toDouble)
     val root = Files.createTempDirectory("coldstore")
     try {
-      val spark = JobSupport.localSpark("coldstore")
+      val spark = LocalSpark.session("coldstore")
       try {
         val dir = s"$root/lineitem"
         ColdStore.write(SynthData.lineitem(spark, sf), dir, nFiles = 32)

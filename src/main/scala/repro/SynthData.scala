@@ -1,14 +1,12 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic input data, deterministic in (sf or rows, seed) and the
-  * session's default parallelism, so the DuckDB oracle sees identical input.
-  * Each generator's rows depend on that parallelism: `spark.range` splits
-  * into `defaultParallelism` partitions and `rand(seed)` seeds each
-  * partition apart, so a master with another core count gives other rows.
+/** Synthetic input data, deterministic in (sf or rows, seed), so the DuckDB
+  * oracle sees identical input. Every value is a hash of its row's id, so a
+  * row is the same whatever the session's parallelism or partitioning.
   *
   * `lineitem` is a TPC-H-like `lineitem` at a configurable scale factor:
   * SF=1.0 has TPC-H SF1's 6 M rows: the columns Q1 and Q6 read, a line
@@ -21,24 +19,31 @@ object SynthData {
   private val NOrdersPerSf   = 1_500_000L
   private val NPartPerSf     =   200_000L
 
+  /** `l_shipdate`'s domain: 2,557 days from 1992-01-01 (days since the Unix epoch). */
+  val ShipdateEpochDay: Int = java.time.LocalDate.parse("1992-01-01").toEpochDay.toInt
+  val ShipdateDays: Int     = 2557
+
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
+
+  /** Stream `stream` of a row: uniform in [0, 1), the top 53 bits of a hash of its id. */
+  private def uniform(stream: Long): Column =
+    shiftrightunsigned(xxhash64(col("id"), lit(stream)), 11) * math.pow(2, -53)
 
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     spark.range(n(NLineitemPerSf, sf)).select(
-      (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
-      (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
-      (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
-      (rand(seed + 3) * 50 + 1).cast(DoubleType)       as "l_quantity",
-      round(rand(seed + 4) * 90000 + 900, 2)           as "l_extendedprice",
-      round(rand(seed + 5) * 0.10, 2)                  as "l_discount",
-      round(rand(seed + 6) * 0.08, 2)                  as "l_tax",
+      (uniform(seed)     * nOrders + 1).cast(LongType) as "l_orderkey",
+      (uniform(seed + 1) * nPart   + 1).cast(LongType) as "l_partkey",
+      (uniform(seed + 2) * 7 + 1).cast(IntegerType)    as "l_linenumber",
+      (uniform(seed + 3) * 50 + 1).cast(DoubleType)    as "l_quantity",
+      round(uniform(seed + 4) * 90000 + 900, 2)        as "l_extendedprice",
+      round(uniform(seed + 5) * 0.10, 2)               as "l_discount",
+      round(uniform(seed + 6) * 0.08, 2)               as "l_tax",
       element_at(array(lit("N"), lit("R"), lit("A")),
-                 (rand(seed + 7) * 3 + 1).cast("int")) as "l_returnflag",
+                 (uniform(seed + 7) * 3 + 1).cast("int")) as "l_returnflag",
       element_at(array(lit("O"), lit("F")),
-                 (rand(seed + 8) * 2 + 1).cast("int")) as "l_linestatus",
-      date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 9) * 2557).cast("int"))    as "l_shipdate",
+                 (uniform(seed + 8) * 2 + 1).cast("int")) as "l_linestatus",
+      date_from_unix_date((uniform(seed + 9) * ShipdateDays).cast("int") + ShipdateEpochDay) as "l_shipdate",
     )
   }
 
@@ -50,16 +55,16 @@ object SynthData {
     spark.range(rows).select(
       least(lit(nKeys),
             greatest(lit(1L),
-              pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
+              pow(lit(1.0) / (uniform(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
             )) as "k",
-      rand(seed + 1) as "v",
+      uniform(seed + 1) as "v",
     )
   }
 
   def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
     spark.range(rows).select(
-      (rand(seed) * nKeys + 1).cast(LongType) as "k",
-      rand(seed + 1)                          as "v",
+      (uniform(seed) * nKeys + 1).cast(LongType) as "k",
+      uniform(seed + 1)                          as "v",
     )
   }
 }

@@ -14,6 +14,7 @@ import org.apache.spark.sql.types.{DataType, StructType}
 
 import scala.jdk.CollectionConverters._
 
+import repro.SynthData.{ShipdateDays, ShipdateEpochDay}
 import repro.scan.{ColumnChunk, ParquetFile, RowGroup}
 
 /** Per-file statistics of the cold store: the min/max index the paper's scan
@@ -38,23 +39,20 @@ final case class FileStat(
   */
 object ColdStore {
 
-  /** SynthData's shipdate domain: 1992-01-01 + [0, 2557) days. */
-  private val EpochDay: Long = java.time.LocalDate.parse("1992-01-01").toEpochDay
-  private val SpanDays: Double = 2557.0
+  /** Normalize a date (days since Unix epoch) to SynthData's [0, 1] shipdate domain. */
+  def normalizeDays(days: Int): Double = (days - ShipdateEpochDay) / ShipdateDays.toDouble
 
-  /** Normalize a date (days since Unix epoch) to the [0, 1] key domain. */
-  def normalizeDays(days: Int): Double = (days - EpochDay) / SpanDays
-
-  /** Write `lineitem` sorted by `l_shipdate` into `nFiles` gzip Parquet files. */
+  /** Write `lineitem` sorted by `l_shipdate` into `nFiles` gzip Parquet files.
+    * File i holds the days of key slice [i/nFiles, (i+1)/nFiles), which is
+    * `ParquetLayout.sortedTable`'s file i, so each day stays in one file and
+    * the files are a function of the rows and `nFiles` alone.
+    */
   def write(lineitem: DataFrame, path: String, nFiles: Int): Unit = {
     require(nFiles >= 1, "need at least one file")
-    lineitem
-      .repartitionByRange(nFiles, col("l_shipdate"))
+    val file = floor((unix_date(col("l_shipdate")) - ShipdateEpochDay) / ShipdateDays.toDouble * nFiles).cast("int")
+    lineitem.repartitionById(nFiles, least(lit(nFiles - 1), greatest(lit(0), file)))
       .sortWithinPartitions("l_shipdate")
-      .write
-      .mode("overwrite")
-      .option("compression", "gzip")
-      .parquet(path)
+      .write.mode("overwrite").option("compression", "gzip").parquet(path)
   }
 
   /** Data files of a cold store directory, sorted by name. */

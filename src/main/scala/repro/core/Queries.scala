@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DecimalType
 
@@ -24,13 +24,18 @@ object Queries {
   val Q6DateLo = "1994-01-01"
   val Q6DateHi = "1995-01-01"
 
+  /** Q1's and Q6's shipdate predicates, as `q1` and `q6` apply them. */
+  val Q1Shipdate: Column = col("l_shipdate") <= lit(Q1CutoffDate).cast("date")
+  val Q6Shipdate: Column = col("l_shipdate") >= lit(Q6DateLo).cast("date") &&
+    col("l_shipdate") < lit(Q6DateHi).cast("date")
+
   private val price = DecimalType(12, 2)
   private val rate  = DecimalType(4, 2)
   private val qty   = DecimalType(18, 6)
 
   /** TPC-H Q1: pricing summary report (selects ~98 % of LINEITEM). */
   def q1(lineitem: DataFrame): DataFrame = {
-    val l    = lineitem.filter(col("l_shipdate") <= lit(Q1CutoffDate).cast("date"))
+    val l    = lineitem.filter(Q1Shipdate)
     val ep   = col("l_extendedprice").cast(price)
     val disc = col("l_discount").cast(rate)
     val tax  = col("l_tax").cast(rate)
@@ -69,11 +74,7 @@ object Queries {
   /** TPC-H Q6: forecasting revenue change (selects ~2 % of LINEITEM). */
   def q6(lineitem: DataFrame): DataFrame =
     lineitem
-      .filter(
-        col("l_shipdate") >= lit(Q6DateLo).cast("date") &&
-        col("l_shipdate") <  lit(Q6DateHi).cast("date") &&
-        col("l_discount").between(0.05, 0.07) &&
-        col("l_quantity") < 24)
+      .filter(Q6Shipdate && col("l_discount").between(0.05, 0.07) && col("l_quantity") < 24)
       .agg(sum(col("l_extendedprice").cast(price) * col("l_discount").cast(rate)) as "revenue")
 
   /** DuckDB-side Q6 over the VARCHAR-typed oracle table. */

@@ -8,9 +8,9 @@ import repro.coldstore.ColdStore
 
 /** The one cold store the Spark suites share: LINEITEM at SF 0.01, sorted by
   * l_shipdate into 32 gzip Parquet files, written once per JVM on first use.
-  * 32 files leave at least one whole file beyond Q1's 95 % cutoff even at
-  * SF 0.01, so file granularity stands in for the paper's 320 files. The
-  * store, temporary root included, is deleted when the JVM exits.
+  * At any SF, Q1's cutoff (1998-09-02) falls in file 30 and file 31 starts
+  * on 1998-10-14, so Q1 prunes one whole file, standing in for the paper's
+  * 320 files. The store, temporary root included, is deleted at JVM exit.
   */
 object ColdStoreFixture {
   val NFiles: Int = 32

@@ -1,8 +1,6 @@
 package repro.coldstore
 
-import org.apache.spark.sql.functions._
-
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, SynthData}
 import repro.ColdStoreFixture.{NFiles, dir}
 import repro.core.Queries
 import repro.scan.ParquetLayout
@@ -46,12 +44,8 @@ class ColdStoreSpec extends SparkSpec {
 
   test("pruning is conservative: the pruned scan loses no qualifying rows") {
     val (df, info) = ColdStore.prunedScan(spark, dir, Queries.Q6DateLo, Queries.Q6DateHi)
-    val prunedCount = df.filter(
-      col("l_shipdate") >= lit(Queries.Q6DateLo).cast("date") &&
-      col("l_shipdate") < lit(Queries.Q6DateHi).cast("date")).count()
-    val fullCount = spark.read.parquet(dir).filter(
-      col("l_shipdate") >= lit(Queries.Q6DateLo).cast("date") &&
-      col("l_shipdate") < lit(Queries.Q6DateHi).cast("date")).count()
+    val prunedCount = df.filter(Queries.Q6Shipdate).count()
+    val fullCount   = spark.read.parquet(dir).filter(Queries.Q6Shipdate).count()
     assert(prunedCount == fullCount)
     assert(info.survivingFiles < info.totalFiles, "pruning actually removed files")
   }
@@ -130,5 +124,21 @@ class ColdStoreSpec extends SparkSpec {
 
   test("the concurrent footer read is deterministic: two catalogs are equal") {
     assert(ColdStore.catalog(dir) == ColdStore.catalog(dir))
+  }
+
+  test("a second write of the same rows gives the same files: rows and shipdate min/max") {
+    val root = java.nio.file.Files.createTempDirectory("coldstore")
+    try {
+      ColdStore.write(SynthData.lineitem(spark, sf = 0.01), s"$root/lineitem", NFiles)
+      def files(st: Seq[FileStat]) = st.map(s => (s.rows, s.minShipdateDays, s.maxShipdateDays))
+      assert(files(ColdStore.catalog(s"$root/lineitem")) == files(stats))
+    } finally org.apache.commons.io.FileUtils.deleteDirectory(root.toFile)
+  }
+
+  test("file i holds the days of sortedTable's key slice i") {
+    ParquetLayout.sortedTable(NFiles, totalBytes = 1L << 20).zip(stats).foreach { case (slice, s) =>
+      assert(ColdStore.normalizeDays(s.minShipdateDays) >= slice.minKey, s.path)
+      assert(ColdStore.normalizeDays(s.maxShipdateDays) < slice.maxKey, s.path)
+    }
   }
 }
