@@ -64,7 +64,7 @@ object ColdStoreJob {
     */
   def artifacts(spark: SparkSession, dir: String): Seq[(String, () => String)] = Seq(
     "fig10-measured" -> (() => Tables.renderFig10(
-      ParquetLayout.lineitemSf1000(ParquetLayout.columnFractions(ColdStore.layout(dir))))),
+      ParquetLayout.lineitemSf1000(ParquetLayout.columnFractions(ColdStore.catalog(dir))))),
     "fig11-tasks" -> (() => Tables.renderFig11Tasks(Tables.fig11TaskRows(spark, dir))),
   )
 

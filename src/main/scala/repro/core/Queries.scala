@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DecimalType
 
-import repro.coldstore.ColdStore
+import repro.coldstore.ColdStore.normalizeDate
 import repro.scan.QueryProfile
 
 /** TPC-H Queries 1 and 6 — the paper's evaluation queries (Sections 5.2–5.4)
@@ -88,12 +88,8 @@ object Queries {
 
   // ---------------------------------------------------------------------
   // Query profiles for the scan/cost models, over the cold store's
-  // normalized l_shipdate key domain (`ColdStore.normalizeDays`).
+  // normalized l_shipdate key domain (`ColdStore.normalizeDate`).
   // ---------------------------------------------------------------------
-
-  /** A date (yyyy-mm-dd) on the normalized [0, 1] shipdate key domain. */
-  def normalizedShipdate(date: String): Double =
-    ColdStore.normalizeDays(java.time.LocalDate.parse(date).toEpochDay.toInt)
 
   val Q1Columns: Set[String] = Set("l_quantity", "l_extendedprice", "l_discount", "l_tax",
     "l_returnflag", "l_linestatus", "l_shipdate")
@@ -103,10 +99,10 @@ object Queries {
     * prune (Fig 11: ~2 % of workers return immediately).
     */
   val Q1Profile: QueryProfile =
-    QueryProfile("Q1", Q1Columns, 0.0, normalizedShipdate(Q1CutoffDate), rowSelectivity = 0.98)
+    QueryProfile("Q1", Q1Columns, 0.0, normalizeDate(Q1CutoffDate), rowSelectivity = 0.98)
 
   /** Q6 touches one year out of seven — ~85 % of files prune. */
   val Q6Profile: QueryProfile =
-    QueryProfile("Q6", Q6Columns, normalizedShipdate(Q6DateLo), normalizedShipdate(Q6DateHi),
+    QueryProfile("Q6", Q6Columns, normalizeDate(Q6DateLo), normalizeDate(Q6DateHi),
       rowSelectivity = 0.02)
 }

@@ -5,10 +5,12 @@ final case class ColumnChunk(column: String, bytes: Long) {
   require(bytes >= 0, "column chunk bytes must be non-negative")
 }
 
-/** One Parquet row group: min/max statistics on the table's sort key
-  * (normalized to [0, 1] over the key domain) plus its column chunks.
+/** One Parquet row group as its footer entry describes it: min/max
+  * statistics on the table's sort key (normalized to [0, 1] over the key
+  * domain; (-inf, +inf) when the footer has none), its row count and its
+  * column chunks.
   */
-final case class RowGroup(minKey: Double, maxKey: Double, chunks: Seq[ColumnChunk]) {
+final case class RowGroup(minKey: Double, maxKey: Double, rows: Long, chunks: Seq[ColumnChunk]) {
   require(minKey <= maxKey, s"row group stats inverted: [$minKey, $maxKey]")
   def bytes: Long = chunks.map(_.bytes).sum
   def bytesOf(columns: Set[String]): Long =
@@ -18,11 +20,12 @@ final case class RowGroup(minKey: Double, maxKey: Double, chunks: Seq[ColumnChun
 }
 
 /** One Parquet file as the scan operator sees it: a footer (fetched with one
-  * request) and a sequence of row groups (Section 4.3.2, Fig 8).
+  * request) and a sequence of row groups (Section 4.3.2, Fig 8). A file of
+  * an empty table has none, and every range prunes it.
   */
-final case class ParquetFile(path: String, rowGroups: Seq[RowGroup], footerBytes: Long = 64 * 1024) {
-  require(rowGroups.nonEmpty, s"$path has no row groups")
+final case class ParquetFile(path: String, rowGroups: Seq[RowGroup], footerBytes: Long) {
   def bytes: Long = rowGroups.map(_.bytes).sum + footerBytes
+  def rows: Long = rowGroups.map(_.rows).sum
   def minKey: Double = rowGroups.map(_.minKey).min
   def maxKey: Double = rowGroups.map(_.maxKey).max
   /** Row groups surviving a min/max prune against key range [lo, hi]. */
@@ -43,7 +46,8 @@ object ParquetLayout {
     * of that 16-column table, so the default layout matches the paper's
     * per-query byte fractions (Q1 reads ~41 %, Q6 ~33 % of a file).
     * `ColdStoreJob` and `LambadaSimSpec` also build layouts from fractions
-    * *measured* on the real 10-column cold-store files with `columnFractions`.
+    * *measured* on the real 10-column cold-store files: `columnFractions`
+    * over `ColdStore.catalog`.
     */
   val LineitemColumnFractions: Map[String, Double] = Map(
     "l_orderkey"      -> 0.09,
@@ -64,39 +68,46 @@ object ParquetLayout {
     "l_comment"       -> 0.06,
   )
 
-  /** Build a sorted table layout: `nFiles` files over `totalBytes`, each with
-    * `rowGroupsPerFile` row groups; file *i* covers key slice
-    * [i/nFiles, (i+1)/nFiles] of the normalized sort-key domain.
+  /** Build a sorted table layout: `nFiles` files over `totalBytes` and
+    * `totalRows`, each with `rowGroupsPerFile` equal row groups; file *i*
+    * covers key slice [i/nFiles, (i+1)/nFiles] of the normalized sort-key
+    * domain.
     */
   def sortedTable(
       nFiles: Int,
       totalBytes: Long,
+      totalRows: Long,
       columnFractions: Map[String, Double] = LineitemColumnFractions,
       rowGroupsPerFile: Int = 4,
   ): Vector[ParquetFile] = {
-    require(nFiles >= 1 && rowGroupsPerFile >= 1 && totalBytes > 0, "invalid layout parameters")
+    require(nFiles >= 1 && rowGroupsPerFile >= 1 && totalBytes > 0 && totalRows >= 0,
+      "invalid layout parameters")
     val fracSum = columnFractions.values.sum
     require(math.abs(fracSum - 1.0) < 1e-6, s"column fractions must sum to 1, got $fracSum")
     val bytesPerRg = totalBytes / nFiles / rowGroupsPerFile
+    val rowsPerRg  = totalRows / nFiles / rowGroupsPerFile
     Vector.tabulate(nFiles) { i =>
       val fileLo = i.toDouble / nFiles
       val fileHi = (i + 1).toDouble / nFiles
       val rgs = Vector.tabulate(rowGroupsPerFile) { j =>
         val lo = fileLo + (fileHi - fileLo) * j / rowGroupsPerFile
         val hi = fileLo + (fileHi - fileLo) * (j + 1) / rowGroupsPerFile
-        RowGroup(lo, hi,
+        RowGroup(lo, hi, rowsPerRg,
           columnFractions.toSeq.sortBy(_._1).map { case (c, f) =>
             ColumnChunk(c, math.max(1L, (bytesPerRg * f).toLong))
           })
       }
-      ParquetFile(f"part-$i%05d.parquet", rgs)
+      ParquetFile(f"part-$i%05d.parquet", rgs, footerBytes = 64 * 1024)
     }
   }
 
-  /** The paper's SF 1000 LINEITEM: 151 GiB of gzip Parquet in 320 files. */
+  /** The paper's SF 1000 LINEITEM: 6 billion rows, 151 GiB of gzip Parquet
+    * in 320 files.
+    */
   def lineitemSf1000(columnFractions: Map[String, Double] = LineitemColumnFractions)
       : Vector[ParquetFile] =
-    sortedTable(nFiles = 320, totalBytes = (151L * 1024 * 1024 * 1024), columnFractions)
+    sortedTable(nFiles = 320, totalBytes = 151L * 1024 * 1024 * 1024, totalRows = 6000000000L,
+      columnFractions)
 
   /** Per-column fraction of the compressed column-chunk bytes across `files`. */
   def columnFractions(files: Seq[ParquetFile]): Map[String, Double] = {

@@ -3,43 +3,41 @@ package repro.coldstore
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.ColdStoreFixture.{NFiles, dir}
 import repro.core.Queries
-import repro.scan.ParquetLayout
+import repro.scan.{ParquetFile, ParquetLayout}
 
 class ColdStoreSpec extends SparkSpec {
 
-  private lazy val stats = ColdStore.catalog(dir)
+  private lazy val files = ColdStore.catalog(dir)
+  /** The first day of the shipdate domain: Q1's scan has no lower bound. */
+  private val firstDay = java.time.LocalDate.ofEpochDay(SynthData.ShipdateEpochDay).toString
 
   test("the cold store contains the requested number of gzip Parquet files") {
     assert(ColdStore.listFiles(dir).size == NFiles)
   }
 
   test("the catalog reads footer statistics: rows, bytes, shipdate min/max") {
-    assert(stats.size == NFiles)
-    assert(stats.map(_.rows).sum == spark.read.parquet(dir).count())
-    stats.foreach { s =>
-      assert(s.bytes > 0)
-      assert(s.minShipdateDays <= s.maxShipdateDays)
+    assert(files.size == NFiles)
+    assert(files.map(_.rows).sum == spark.read.parquet(dir).count())
+    files.foreach { f =>
+      assert(f.footerBytes > 0 && f.bytes > f.footerBytes)
+      assert(f.minKey <= f.maxKey)
     }
   }
 
   test("global sort by l_shipdate yields disjoint, ordered file ranges") {
-    val ordered = stats.sortBy(_.minShipdateDays)
-    ordered.sliding(2).foreach { case Seq(a, b) =>
-      assert(a.maxShipdateDays <= b.minShipdateDays,
-        s"${a.path} overlaps ${b.path}")
+    files.sortBy(_.minKey).sliding(2).foreach { case Seq(a, b) =>
+      assert(a.maxKey <= b.minKey, s"${a.path} overlaps ${b.path}")
     }
   }
 
   test("Q6's one-year window prunes ~80-90 % of the files (Fig 11)") {
-    val surviving = ColdStore.pruneFiles(stats, Queries.Q6DateLo, Queries.Q6DateHi)
-    val prunedFraction = (stats.size - surviving.size).toDouble / stats.size
-    assert(prunedFraction > 0.70 && prunedFraction <= 0.95, s"paper ~0.80, ours $prunedFraction")
+    val (_, info) = ColdStore.prunedScan(spark, dir, Queries.Q6DateLo, Queries.Q6DateHi)
+    assert(info.prunedFraction > 0.70 && info.prunedFraction <= 0.95, s"paper ~0.80, ours $info")
   }
 
   test("Q1's cutoff prunes only the trailing files (~2-7 %)") {
-    val surviving = ColdStore.pruneFiles(stats, "1992-01-01", Queries.Q1CutoffDate)
-    val prunedFraction = (stats.size - surviving.size).toDouble / stats.size
-    assert(prunedFraction > 0.0 && prunedFraction < 0.15, s"paper ~0.02, ours $prunedFraction")
+    val (_, info) = ColdStore.prunedScan(spark, dir, firstDay, Queries.Q1CutoffDate)
+    assert(info.prunedFraction > 0.0 && info.prunedFraction < 0.15, s"paper ~0.02, ours $info")
   }
 
   test("pruning is conservative: the pruned scan loses no qualifying rows") {
@@ -57,7 +55,7 @@ class ColdStoreSpec extends SparkSpec {
   }
 
   test("Q1 over the pruned scan matches DuckDB over the full relation") {
-    val (df, _) = ColdStore.prunedScan(spark, dir, "1992-01-01", Queries.Q1CutoffDate)
+    val (df, _) = ColdStore.prunedScan(spark, dir, firstDay, Queries.Q1CutoffDate)
     val full = spark.read.parquet(dir)
     Oracle.assertEquivalent(Queries.q1(df), Queries.q1DuckSql, "lineitem" -> full)
   }
@@ -69,37 +67,48 @@ class ColdStoreSpec extends SparkSpec {
     assert(info.prunedFraction == 1.0)
   }
 
+  test("a store without l_shipdate statistics prunes nothing, and Q6 over it matches DuckDB") {
+    val root = java.nio.file.Files.createTempDirectory("coldstore")
+    try {
+      val store = s"$root/lineitem"
+      val full  = spark.read.parquet(dir)
+      full.coalesce(2).write.option("parquet.column.statistics.enabled", "false").parquet(store)
+      val rowGroups = ColdStore.catalog(store).flatMap(_.rowGroups)
+      assert(rowGroups.nonEmpty && rowGroups.forall(rg =>
+        rg.minKey == Double.NegativeInfinity && rg.maxKey == Double.PositiveInfinity), rowGroups)
+      val (df, info) = ColdStore.prunedScan(spark, store, Queries.Q6DateLo, Queries.Q6DateHi)
+      assert(info.survivingFiles == info.totalFiles, info)
+      Oracle.assertEquivalent(Queries.q6(df), Queries.q6DuckSql, "lineitem" -> full)
+    } finally org.apache.commons.io.FileUtils.deleteDirectory(root.toFile)
+  }
+
+  test("an empty table's store has files without row groups, and every window prunes them") {
+    val root = java.nio.file.Files.createTempDirectory("coldstore")
+    try {
+      ColdStore.write(spark.read.parquet(dir).limit(0), s"$root/lineitem", NFiles)
+      val empty = ColdStore.catalog(s"$root/lineitem")
+      assert(empty.nonEmpty && empty.forall(f => f.rowGroups.isEmpty && f.rows == 0), empty)
+      val (df, info) = ColdStore.prunedScan(spark, s"$root/lineitem", firstDay, Queries.Q1CutoffDate)
+      assert(info.survivingFiles == 0 && df.count() == 0, info)
+    } finally org.apache.commons.io.FileUtils.deleteDirectory(root.toFile)
+  }
+
   test("the layout bridge reflects the real files: paths, sizes, key order") {
-    val layout = ColdStore.layout(dir)
-    assert(layout.size == NFiles)
-    layout.foreach { f =>
-      assert(f.rowGroups.nonEmpty)
+    assert(files.map(_.path) == ColdStore.listFiles(dir))
+    files.foreach { f =>
+      assert(f.bytes == new java.io.File(f.path).length, f.path)
       f.rowGroups.foreach { rg =>
-        assert(rg.minKey >= -0.01 && rg.maxKey <= 1.01)
-        assert(rg.minKey <= rg.maxKey)
+        assert(rg.minKey >= 0.0 && rg.maxKey <= 1.0)
         assert(rg.chunks.nonEmpty)
       }
     }
-    // File byte totals from column chunks approximate on-disk sizes.
-    val chunkBytes = layout.map(f => f.rowGroups.map(_.bytes).sum).sum.toDouble
-    val diskBytes  = stats.map(_.bytes).sum.toDouble
-    assert(chunkBytes > 0.6 * diskBytes && chunkBytes < 1.1 * diskBytes)
   }
 
   test("measured column fractions sum to one and include every column") {
-    val fractions = ParquetLayout.columnFractions(ColdStore.layout(dir))
+    val fractions = ParquetLayout.columnFractions(files)
     assert(math.abs(fractions.values.sum - 1.0) < 1e-9)
     assert(fractions.keySet == spark.read.parquet(dir).columns.toSet)
     assert(fractions.values.forall(_ > 0))
-  }
-
-  test("model-level pruning on the measured layout matches catalog pruning") {
-    val layout = ColdStore.layout(dir)
-    val lo = Queries.Q6Profile.keyLo
-    val hi = Queries.Q6Profile.keyHi
-    val modelSurvivors = layout.count(f => f.prune(lo, hi).nonEmpty)
-    val catalogSurvivors = ColdStore.pruneFiles(stats, Queries.Q6DateLo, Queries.Q6DateHi).size
-    assert(math.abs(modelSurvivors - catalogSurvivors) <= 1)
   }
 
   test("the pruned scan's schema is the one Spark infers, for a non-empty and an empty window") {
@@ -107,18 +116,6 @@ class ColdStoreSpec extends SparkSpec {
     for ((lo, hi) <- Seq((Queries.Q6DateLo, Queries.Q6DateHi), ("1890-01-01", "1890-12-31"))) {
       val (df, _) = ColdStore.prunedScan(spark, dir, lo, hi)
       assert(df.schema == inferred, s"window $lo..$hi")
-    }
-  }
-
-  test("catalog and layout list the same files in the same order") {
-    assert(ColdStore.layout(dir).map(_.path) == stats.map(_.path))
-    assert(stats.map(_.path) == ColdStore.listFiles(dir))
-  }
-
-  test("each file's layout min/max key is its catalog min/max shipdate, normalized") {
-    ColdStore.layout(dir).zip(stats).foreach { case (f, s) =>
-      assert(f.minKey == ColdStore.normalizeDays(s.minShipdateDays), f.path)
-      assert(f.maxKey == ColdStore.normalizeDays(s.maxShipdateDays), f.path)
     }
   }
 
@@ -130,15 +127,16 @@ class ColdStoreSpec extends SparkSpec {
     val root = java.nio.file.Files.createTempDirectory("coldstore")
     try {
       ColdStore.write(SynthData.lineitem(spark, sf = 0.01), s"$root/lineitem", NFiles)
-      def files(st: Seq[FileStat]) = st.map(s => (s.rows, s.minShipdateDays, s.maxShipdateDays))
-      assert(files(ColdStore.catalog(s"$root/lineitem")) == files(stats))
+      def shape(fs: Seq[ParquetFile]) = fs.map(f => (f.rows, f.minKey, f.maxKey))
+      assert(shape(ColdStore.catalog(s"$root/lineitem")) == shape(files))
     } finally org.apache.commons.io.FileUtils.deleteDirectory(root.toFile)
   }
 
   test("file i holds the days of sortedTable's key slice i") {
-    ParquetLayout.sortedTable(NFiles, totalBytes = 1L << 20).zip(stats).foreach { case (slice, s) =>
-      assert(ColdStore.normalizeDays(s.minShipdateDays) >= slice.minKey, s.path)
-      assert(ColdStore.normalizeDays(s.maxShipdateDays) < slice.maxKey, s.path)
+    ParquetLayout.sortedTable(NFiles, totalBytes = 1L << 20, totalRows = 0).zip(files).foreach {
+      case (slice, f) =>
+        assert(f.minKey >= slice.minKey, f.path)
+        assert(f.maxKey < slice.maxKey, f.path)
     }
   }
 }

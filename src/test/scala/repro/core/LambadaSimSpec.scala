@@ -20,7 +20,7 @@ class LambadaSimSpec extends SparkSpec {
     */
   private def fig10a(claim: (LambadaConfig => QueryRun) => Unit): Unit = Seq(
     "dbgen-16" -> ParquetLayout.LineitemColumnFractions,
-    "measured" -> ParquetLayout.columnFractions(ColdStore.layout(ColdStoreFixture.dir)),
+    "measured" -> ParquetLayout.columnFractions(ColdStore.catalog(ColdStoreFixture.dir)),
   ).foreach { case (input, fractions) =>
     val layout = ParquetLayout.lineitemSf1000(fractions)
     withClue(s"$input fractions:") {

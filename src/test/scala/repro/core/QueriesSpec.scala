@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.coldstore.ColdStore
 
 class QueriesSpec extends SparkSpec {
 
@@ -48,10 +49,10 @@ class QueriesSpec extends SparkSpec {
     Oracle.assertEquivalent(Queries.q1(empty), Queries.q1DuckSql, "lineitem" -> empty)
   }
 
-  test("normalizedShipdate maps the domain endpoints to [0, 1]") {
-    assert(Queries.normalizedShipdate("1992-01-01") == 0.0)
-    assert(math.abs(Queries.normalizedShipdate("1998-12-31") - 1.0) < 0.001)
-    val cut = Queries.normalizedShipdate(Queries.Q1CutoffDate)
+  test("normalizeDate maps the domain endpoints to [0, 1]") {
+    assert(ColdStore.normalizeDate("1992-01-01") == 0.0)
+    assert(math.abs(ColdStore.normalizeDate("1998-12-31") - 1.0) < 0.001)
+    val cut = ColdStore.normalizeDate(Queries.Q1CutoffDate)
     assert(cut > 0.94 && cut < 0.96)
   }
 

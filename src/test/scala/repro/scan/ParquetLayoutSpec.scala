@@ -24,6 +24,7 @@ class ParquetLayoutSpec extends AnyFunSuite with PropSpec {
     assert(files.size == 320)
     val total = files.map(_.bytes).sum.toDouble
     assert(math.abs(total - 151.0 * 1024 * 1024 * 1024) / total < 0.01)
+    assert(files.map(_.rows).sum == 6000000000L, "SF 1000 holds 6 billion rows")
     // ~500 MB per file as in the paper's best-practice layout
     assert(files.forall(f => f.bytes > 400e6 && f.bytes < 600e6))
   }
@@ -36,7 +37,7 @@ class ParquetLayoutSpec extends AnyFunSuite with PropSpec {
   }
 
   test("sorted layout: file i covers key slice [i/n, (i+1)/n]") {
-    val files = ParquetLayout.sortedTable(10, 1000000)
+    val files = ParquetLayout.sortedTable(10, 1000000, 1000)
     files.zipWithIndex.foreach { case (f, i) =>
       assert(math.abs(f.minKey - i / 10.0) < 1e-9)
       assert(math.abs(f.maxKey - (i + 1) / 10.0) < 1e-9)
@@ -44,20 +45,20 @@ class ParquetLayoutSpec extends AnyFunSuite with PropSpec {
   }
 
   test("row groups within a file partition its key slice") {
-    val f = ParquetLayout.sortedTable(4, 100000, rowGroupsPerFile = 5)(2)
+    val f = ParquetLayout.sortedTable(4, 100000, 1000, rowGroupsPerFile = 5)(2)
     assert(f.rowGroups.size == 5)
     f.rowGroups.sliding(2).foreach { case Seq(a, b) => assert(a.maxKey == b.minKey) }
   }
 
   test("pruning a range keeps exactly the overlapping row groups") {
-    val f = ParquetLayout.sortedTable(1, 100000, rowGroupsPerFile = 10).head
+    val f = ParquetLayout.sortedTable(1, 100000, 1000, rowGroupsPerFile = 10).head
     assert(f.prune(0.0, 1.0).size == 10)
     assert(f.prune(0.35, 0.45).size == 2)    // [0.3,0.4] and [0.4,0.5]
     assert(f.prune(2.0, 3.0).isEmpty)
   }
 
   test("pruning is conservative: boundary-touching groups survive") {
-    val f = ParquetLayout.sortedTable(1, 100000, rowGroupsPerFile = 10).head
+    val f = ParquetLayout.sortedTable(1, 100000, 1000, rowGroupsPerFile = 10).head
     assert(f.prune(0.2, 0.2).nonEmpty) // exact boundary between groups 1 and 2
   }
 
@@ -80,10 +81,10 @@ class ParquetLayoutSpec extends AnyFunSuite with PropSpec {
   }
 
   test("invalid layouts are rejected") {
-    intercept[IllegalArgumentException](ParquetLayout.sortedTable(0, 100))
+    intercept[IllegalArgumentException](ParquetLayout.sortedTable(0, 100, 10))
     intercept[IllegalArgumentException](
-      ParquetLayout.sortedTable(2, 100, columnFractions = Map("a" -> 0.5)))
-    intercept[IllegalArgumentException](RowGroup(0.5, 0.4, Seq.empty))
+      ParquetLayout.sortedTable(2, 100, 10, columnFractions = Map("a" -> 0.5)))
+    intercept[IllegalArgumentException](RowGroup(0.5, 0.4, 0, Seq.empty))
     intercept[IllegalArgumentException](ColumnChunk("c", -1))
   }
 
@@ -95,7 +96,7 @@ class ParquetLayoutSpec extends AnyFunSuite with PropSpec {
       len <- Gen.choose(0.0, 0.5)
     } yield (n, rg, lo, math.min(1.0, lo + len))
     Prop.forAll(gen) { case (n, rgs, lo, hi) =>
-      val files = ParquetLayout.sortedTable(n, 100000L * n, rowGroupsPerFile = rgs)
+      val files = ParquetLayout.sortedTable(n, 100000L * n, 1000L * n, rowGroupsPerFile = rgs)
       val surviving = files.flatMap(_.prune(lo, hi))
       // every point of [lo,hi] within the key domain is covered
       val mid = (lo + hi) / 2
@@ -105,7 +106,7 @@ class ParquetLayoutSpec extends AnyFunSuite with PropSpec {
 
   checkProp("pruned bytes never exceed total bytes and shrink with the range") {
     Prop.forAll(Gen.choose(0.0, 0.5)) { lo =>
-      val f    = ParquetLayout.sortedTable(1, 1000000, rowGroupsPerFile = 16).head
+      val f    = ParquetLayout.sortedTable(1, 1000000, 1000, rowGroupsPerFile = 16).head
       val wide = f.prune(lo, 1.0).map(_.bytes).sum
       val slim = f.prune(lo, math.min(1.0, lo + 0.1)).map(_.bytes).sum
       slim <= wide && wide <= f.bytes

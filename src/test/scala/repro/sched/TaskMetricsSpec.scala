@@ -2,6 +2,9 @@ package repro.sched
 
 import repro.SparkSpec
 import repro.ColdStoreFixture.dir
+import repro.coldstore.ColdStore
+import repro.coldstore.ColdStore.normalizeDate
+import repro.core.Queries
 import repro.report.Tables
 
 class TaskMetricsSpec extends SparkSpec {
@@ -43,5 +46,15 @@ class TaskMetricsSpec extends SparkSpec {
       "row-group pushdown lets Q6's tasks skip most of the data")
     assert(q6.zeroRecordShare > 0.5,
       "most Q6 tasks read no record, like the paper's pruned workers")
+    // The catalog predicts both scans exactly: a task reads no record iff its
+    // file has no row group in the query's days, and the others read their
+    // overlapping row groups whole. Q6's upper bound is exclusive.
+    val files = ColdStore.catalog(dir)
+    for ((row, lo, hi) <- Seq((q1, Double.NegativeInfinity, normalizeDate(Queries.Q1CutoffDate)),
+                              (q6, normalizeDate(Queries.Q6DateLo), normalizeDate("1994-12-31")))) {
+      val kept = files.map(_.prune(lo, hi))
+      assert(row.tasks.count(_.recordsRead == 0) == kept.count(_.isEmpty), row.query)
+      assert(row.recordsRead == kept.flatten.map(_.rows).sum, row.query)
+    }
   }
 }
