@@ -1,5 +1,6 @@
 package repro
 
+import java.math.RoundingMode
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 import org.duckdb.DuckDBConnection
@@ -14,6 +15,10 @@ import org.duckdb.DuckDBConnection
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
+  *
+  * Doubles compare at six decimals. Decimals compare exactly at six places
+  * (rounded HALF_UP), not through a double: at 1e10 a double's ulp is about
+  * 2e-6, so two sums 1e-6 apart would print the same.
   */
 object Oracle {
 
@@ -23,11 +28,11 @@ object Oracle {
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
+          case null                     => "∅"
+          case d: Double                => f"$d%.6f"
+          case f: Float                 => f"${f.toDouble}%.6f"
+          case bd: java.math.BigDecimal => bd.setScale(6, RoundingMode.HALF_UP).toPlainString
+          case x                        => x.toString
         }
       })
       .sortBy(_.mkString(""))

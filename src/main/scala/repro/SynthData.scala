@@ -11,8 +11,11 @@ import org.apache.spark.sql.types._
   * `lineitem` is a TPC-H-like `lineitem` at a configurable scale factor:
   * SF=1.0 has TPC-H SF1's 6 M rows: the columns Q1 and Q6 read, a line
   * number, and order and part keys over ranges that scale with SF. Tests
-  * use SF<=0.01; benchmarks use SF~=0.1. `uniformKeys` and `zipfKeys` are
-  * key/value columns for the exchange.
+  * use SF<=0.01; benchmarks use SF~=0.1. Quantity, price, discount and tax
+  * are DECIMAL(15,2), TPC-H's DECIMAL at the precision DuckDB's TPC-H
+  * tables use, so Parquet stores them as INT64 decimals. `l_quantity` is an
+  * integer in [1, 50], as TPC-H draws it (§4.2.3). `uniformKeys` and
+  * `zipfKeys` are key/value columns for the exchange.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
@@ -29,16 +32,20 @@ object SynthData {
   private def uniform(stream: Long): Column =
     shiftrightunsigned(xxhash64(col("id"), lit(stream)), 11) * math.pow(2, -53)
 
+  /** The type of `l_quantity`, `l_extendedprice`, `l_discount` and `l_tax`. */
+  private val Dec = DecimalType(15, 2)
+
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
+    // Casting a double to DECIMAL rounds it HALF_UP to two places, as round(_, 2) does.
     spark.range(n(NLineitemPerSf, sf)).select(
       (uniform(seed)     * nOrders + 1).cast(LongType) as "l_orderkey",
       (uniform(seed + 1) * nPart   + 1).cast(LongType) as "l_partkey",
       (uniform(seed + 2) * 7 + 1).cast(IntegerType)    as "l_linenumber",
-      (uniform(seed + 3) * 50 + 1).cast(DoubleType)    as "l_quantity",
-      round(uniform(seed + 4) * 90000 + 900, 2)        as "l_extendedprice",
-      round(uniform(seed + 5) * 0.10, 2)               as "l_discount",
-      round(uniform(seed + 6) * 0.08, 2)               as "l_tax",
+      (floor(uniform(seed + 3) * 50) + 1).cast(Dec)    as "l_quantity",
+      (uniform(seed + 4) * 90000 + 900).cast(Dec)      as "l_extendedprice",
+      (uniform(seed + 5) * 0.10).cast(Dec)             as "l_discount",
+      (uniform(seed + 6) * 0.08).cast(Dec)             as "l_tax",
       element_at(array(lit("N"), lit("R"), lit("A")),
                  (uniform(seed + 7) * 3 + 1).cast("int")) as "l_returnflag",
       element_at(array(lit("O"), lit("F")),

@@ -43,7 +43,8 @@ object ColdStore {
   /** Write `lineitem` sorted by `l_shipdate` into `nFiles` gzip Parquet files.
     * File i holds the days of key slice [i/nFiles, (i+1)/nFiles), which is
     * `ParquetLayout.sortedTable`'s file i, so each day stays in one file and
-    * the files are a function of the rows and `nFiles` alone.
+    * the files are a function of the rows and `nFiles` alone. Spark's Parquet
+    * writer stores `lineitem`'s DECIMAL(15,2) columns as INT64 decimals.
     */
   def write(lineitem: DataFrame, path: String, nFiles: Int): Unit = {
     require(nFiles >= 1, "need at least one file")

@@ -11,10 +11,12 @@ import repro.scan.QueryProfile
   * — as Spark DataFrame (Catalyst) transformations, plus the equivalent
   * DuckDB SQL used by the oracle.
   *
-  * Sum aggregates are computed in DECIMAL on both engines so that the
-  * cross-engine comparison is exact (float summation order would otherwise
-  * flake the oracle); averages are computed in DOUBLE and rounded to four
-  * decimals on both sides.
+  * LINEITEM's quantity, price, discount and tax are DECIMAL(15,2), so the
+  * casts below only change a decimal's precision. Sum aggregates are
+  * computed in DECIMAL on both engines, at six decimal places or fewer, and
+  * the oracle compares decimals at six places, so sums match exactly or
+  * fail (float summation order would otherwise flake the oracle). Averages
+  * are computed in DOUBLE and rounded to four decimals on both sides.
   */
 object Queries {
 
@@ -28,6 +30,14 @@ object Queries {
   val Q1Shipdate: Column = col("l_shipdate") <= lit(Q1CutoffDate).cast("date")
   val Q6Shipdate: Column = col("l_shipdate") >= lit(Q6DateLo).cast("date") &&
     col("l_shipdate") < lit(Q6DateHi).cast("date")
+
+  /** Q6's whole predicate, as `q6` applies it. The discount bounds are
+    * DECIMAL literals, so Spark compares the DECIMAL column as it is rather
+    * than as a double.
+    */
+  val Q6Predicate: Column = Q6Shipdate &&
+    col("l_discount").between(lit(BigDecimal("0.05")), lit(BigDecimal("0.07"))) &&
+    col("l_quantity") < 24
 
   private val price = DecimalType(12, 2)
   private val rate  = DecimalType(4, 2)
@@ -74,7 +84,7 @@ object Queries {
   /** TPC-H Q6: forecasting revenue change (selects ~2 % of LINEITEM). */
   def q6(lineitem: DataFrame): DataFrame =
     lineitem
-      .filter(Q6Shipdate && col("l_discount").between(0.05, 0.07) && col("l_quantity") < 24)
+      .filter(Q6Predicate)
       .agg(sum(col("l_extendedprice").cast(price) * col("l_discount").cast(rate)) as "revenue")
 
   /** DuckDB-side Q6 over the VARCHAR-typed oracle table. */

@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.DecimalType
 
 import repro.core.Queries
 
@@ -29,5 +30,14 @@ class OracleSpec extends SparkSpec {
     val n = lineitem.count()
     Oracle.assertEquivalent(spark.range(1).select(lit(n) as "n"),
       "SELECT count(*) AS n FROM lineitem", "lineitem" -> lineitem)
+  }
+
+  test("a DECIMAL sum one millionth off at 1e10 is rejected, though both round to one double") {
+    val (sparkSum, duckSum) = ("12345678901.000001", "12345678901.000002")
+    assert(sparkSum.toDouble == duckSum.toDouble)
+    val df = spark.range(1).select(lit(new java.math.BigDecimal(sparkSum)).cast(DecimalType(38, 6)) as "v")
+    def duck(v: String) = s"SELECT CAST('$v' AS DECIMAL(38,6)) AS v"
+    Oracle.assertEquivalent(df, duck(sparkSum))
+    intercept[IllegalArgumentException](Oracle.assertEquivalent(df, duck(duckSum)))
   }
 }

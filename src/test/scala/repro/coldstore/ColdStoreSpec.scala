@@ -1,5 +1,12 @@
 package repro.coldstore
 
+import org.apache.hadoop.conf.Configuration
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.util.HadoopInputFile
+import org.apache.parquet.schema.LogicalTypeAnnotation
+import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
+
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.ColdStoreFixture.{NFiles, dir}
 import repro.core.Queries
@@ -116,6 +123,16 @@ class ColdStoreSpec extends SparkSpec {
     for ((lo, hi) <- Seq((Queries.Q6DateLo, Queries.Q6DateHi), ("1890-01-01", "1890-12-31"))) {
       val (df, _) = ColdStore.prunedScan(spark, dir, lo, hi)
       assert(df.schema == inferred, s"window $lo..$hi")
+    }
+  }
+
+  test("quantity, price, discount and tax are stored as Parquet INT64 decimals") {
+    val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(files.head.path), new Configuration()))
+    val schema = try reader.getFooter.getFileMetaData.getSchema finally reader.close()
+    for (c <- Seq("l_quantity", "l_extendedprice", "l_discount", "l_tax")) {
+      val t = schema.getColumnDescription(Array(c)).getPrimitiveType
+      assert(t.getPrimitiveTypeName == PrimitiveTypeName.INT64, c)
+      assert(t.getLogicalTypeAnnotation == LogicalTypeAnnotation.decimalType(2, 15), c)
     }
   }
 
