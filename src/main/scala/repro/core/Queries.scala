@@ -41,24 +41,60 @@ object Queries {
 
   private val price = DecimalType(12, 2)
   private val rate  = DecimalType(4, 2)
-  private val qty   = DecimalType(18, 6)
+  /** Q1's phase-1 quantity and price. A sum of DECIMAL(8,2) is DECIMAL(18,2),
+    * which Spark's aggregation buffer keeps as a long; a sum of more than 18
+    * digits is kept as BigInteger bytes, and every row's update converts it
+    * through `java.math.BigDecimal`. TPC-H's quantities (at most 50) and
+    * prices (at most 104,949.50) fit nine times over; under ANSI mode,
+    * Spark's default, a value that does not fit fails the cast.
+    */
+  private val item  = DecimalType(8, 2)
 
-  /** TPC-H Q1: pricing summary report (selects ~98 % of LINEITEM). */
+  /** TPC-H Q1: pricing summary report (selects ~98 % of LINEITEM).
+    *
+    * It runs in two phases, as Lambada's workers reduce their files to
+    * partials that the driver combines (Sections 3 and 5.3):
+    * 1. Group the surviving rows by (flag, status, discount, tax) and keep
+    *    only sums and a count, with no multiply per row and no sum wider
+    *    than a long (`item`). TPC-H has 11 discounts and 9 taxes, so there
+    *    are at most 6 × 99 = 594 groups.
+    * 2. Group those partials by (flag, status). `sum_disc_price` is
+    *    Σ sp·(1 − d) and `sum_charge` is Σ sp·(1 − d)·(1 + t) over the
+    *    partials' price sums sp. Decimal products and sums are exact, so by
+    *    distributivity they equal the per-row sums Σ ep·(1 − d) and
+    *    Σ ep·(1 − d)·(1 + t), digit for digit. The four sums are cast back to
+    *    the types the per-row sums have (DuckDB's and the SQL's): DECIMAL
+    *    (28,6), (22,2), (28,4) and (34,6). The averages are the exact sums
+    *    over the count, in DOUBLE, rounded to four places.
+    *
+    * `coalesce(1)` gathers the partials into one task. Its `SinglePartition`
+    * satisfies both phase 2's clustering and the ORDER BY's ordering, so the
+    * plan has one shuffle (phase 1's) and no range partitioning: without it,
+    * the six-row ORDER BY would run a sampling job and a range shuffle.
+    */
   def q1(lineitem: DataFrame): DataFrame = {
-    val l    = lineitem.filter(Q1Shipdate)
-    val ep   = col("l_extendedprice").cast(price)
-    val disc = col("l_discount").cast(rate)
-    val tax  = col("l_tax").cast(rate)
-    l.groupBy(col("l_returnflag"), col("l_linestatus"))
+    val one = lit(1).cast(rate)
+    val (d, t, sq, sp, n) = (col("d"), col("t"), col("sq"), col("sp"), col("n"))
+    lineitem
+      .filter(Q1Shipdate)
+      .groupBy(col("l_returnflag"), col("l_linestatus"),
+        col("l_discount").cast(rate) as "d", col("l_tax").cast(rate) as "t")
       .agg(
-        sum(col("l_quantity").cast(qty))                          as "sum_qty",
-        sum(ep)                                                   as "sum_base_price",
-        sum(ep * (lit(1).cast(rate) - disc))                      as "sum_disc_price",
-        sum(ep * (lit(1).cast(rate) - disc) * (lit(1).cast(rate) + tax)) as "sum_charge",
-        round(avg(col("l_quantity").cast("double")), 4)           as "avg_qty",
-        round(avg(col("l_extendedprice").cast("double")), 4)      as "avg_price",
-        round(avg(col("l_discount").cast("double")), 4)           as "avg_disc",
-        count(lit(1))                                             as "count_order",
+        sum(col("l_quantity").cast(item))      as "sq",
+        sum(col("l_extendedprice").cast(item)) as "sp",
+        count(lit(1))                          as "n",
+      )
+      .coalesce(1)
+      .groupBy(col("l_returnflag"), col("l_linestatus"))
+      .agg(
+        sum(sq).cast(DecimalType(28, 6))                              as "sum_qty",
+        sum(sp).cast(DecimalType(22, 2))                              as "sum_base_price",
+        sum(sp * (one - d)).cast(DecimalType(28, 4))                  as "sum_disc_price",
+        sum(sp * (one - d) * (one + t)).cast(DecimalType(34, 6))      as "sum_charge",
+        round(sum(sq).cast("double") / sum(n), 4)                     as "avg_qty",
+        round(sum(sp).cast("double") / sum(n), 4)                     as "avg_price",
+        round(sum(d * n).cast("double") / sum(n), 4)                  as "avg_disc",
+        sum(n)                                                        as "count_order",
       )
       .orderBy(col("l_returnflag"), col("l_linestatus"))
   }

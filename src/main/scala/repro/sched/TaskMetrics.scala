@@ -8,9 +8,18 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkList
   SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 
-/** One finished Spark task: its wall-clock duration and input volume. */
+/** One finished Spark task: its wall-clock duration, where the executor
+  * spent it, its input volume and its shuffle traffic. `seconds` is the
+  * task's whole duration as the scheduler saw it; `runSeconds` is the part
+  * the executor spent running it, of which `cpuSeconds` on a CPU and
+  * `gcSeconds` in the JVM's garbage collector; `deserializeSeconds` is the
+  * executor's time to deserialize the task before running it.
+  */
 final case class TaskRecord(stageId: Int, taskId: Long, seconds: Double, bytesRead: Long,
-                            recordsRead: Long)
+                            recordsRead: Long, runSeconds: Double, cpuSeconds: Double,
+                            deserializeSeconds: Double, gcSeconds: Double,
+                            shuffleReadBytes: Long, shuffleReadRecords: Long,
+                            shuffleWriteBytes: Long, shuffleWriteRecords: Long)
 
 /** Collects real per-task execution times from Spark's listener bus — the
   * executor-model analogue of the paper's per-worker processing-time
@@ -44,14 +53,23 @@ object TaskMetrics {
 
     override def onTaskEnd(taskEnd: SparkListenerTaskEnd): Unit = {
       val info = taskEnd.taskInfo
-      if (info != null && taskEnd.taskMetrics != null && info.successful &&
+      val m    = taskEnd.taskMetrics
+      if (info != null && m != null && info.successful &&
           !markerStages.contains(taskEnd.stageId)) {
         records.add(TaskRecord(
           stageId = taskEnd.stageId,
           taskId = info.taskId,
           seconds = info.duration / 1000.0,
-          bytesRead = taskEnd.taskMetrics.inputMetrics.bytesRead,
-          recordsRead = taskEnd.taskMetrics.inputMetrics.recordsRead,
+          bytesRead = m.inputMetrics.bytesRead,
+          recordsRead = m.inputMetrics.recordsRead,
+          runSeconds = m.executorRunTime / 1000.0,
+          cpuSeconds = m.executorCpuTime / 1e9,
+          deserializeSeconds = m.executorDeserializeTime / 1000.0,
+          gcSeconds = m.jvmGCTime / 1000.0,
+          shuffleReadBytes = m.shuffleReadMetrics.totalBytesRead,
+          shuffleReadRecords = m.shuffleReadMetrics.recordsRead,
+          shuffleWriteBytes = m.shuffleWriteMetrics.bytesWritten,
+          shuffleWriteRecords = m.shuffleWriteMetrics.recordsWritten,
         ))
       }
     }

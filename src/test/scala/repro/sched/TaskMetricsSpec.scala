@@ -39,6 +39,18 @@ class TaskMetricsSpec extends SparkSpec {
     assert(records.map(_.stageId).distinct.size == 1)
   }
 
+  test("Q1's map stage writes exactly the shuffle bytes its result stage reads") {
+    val records = TaskMetrics.collect(spark) {
+      Queries.q1(spark.read.parquet(dir)).collect()
+    }
+    val stages = records.groupBy(_.stageId).values.toSeq
+    val Seq(map)    = stages.filter(_.exists(_.shuffleWriteBytes > 0))
+    val Seq(result) = stages.filter(_.exists(_.shuffleReadBytes > 0))
+    assert(map.map(_.shuffleWriteBytes).sum == result.map(_.shuffleReadBytes).sum)
+    assert(map.map(_.shuffleWriteRecords).sum == result.map(_.shuffleReadRecords).sum)
+    assert(map.map(_.cpuSeconds).sum > 0, "the scan runs on a CPU")
+  }
+
   test("Fig 11 (real Spark tasks): pushdown leaves most of Q6's scan tasks metadata-only") {
     val Seq(q1, q6) = Tables.fig11TaskRows(spark, dir)
     assert(q1.tasks.nonEmpty && q6.tasks.nonEmpty)
